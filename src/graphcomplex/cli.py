@@ -47,13 +47,25 @@ def _tsv(rows: list[list], header: list[str]) -> list[str]:
     return ["\t".join(header)] + ["\t".join(str(x) for x in r) for r in rows]
 
 
+def _check_loops(g: int) -> None:
+    if not grade_range(g):
+        raise ValueError(f"--loops {g}: no vertex count carries loop order {g}; "
+                         "use a loop order of at least 2")
+
+
 def cmd_enumerate(args) -> int:
+    _check_loops(args.loops)
+    rs = grade_range(args.loops)
+    if args.vertices not in rs:
+        raise ValueError(f"--vertices {args.vertices}: loop order {args.loops} "
+                         f"needs {rs.start}..{rs.stop - 1} vertices")
     basis = build_basis(args.loops, args.vertices, args.variant)
     _emit([k.decode("ascii") for k in basis.keys], args.out)
     return 0
 
 
 def cmd_dims(args) -> int:
+    _check_loops(args.loops)
     rows = []
     for r in grade_range(args.loops):
         dims = [len(build_basis(args.loops, r, v)) for v in VARIANTS]
@@ -70,6 +82,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    _check_loops(args.loops)
     rep = cohomology_dims(args.loops, args.variant)
     if args.format == "json":
         doc = {
@@ -100,6 +113,9 @@ def cmd_spqr(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    if args.max_vertices < 6:
+        raise ValueError(f"--max-vertices {args.max_vertices}: the table starts "
+                         "at 6 vertices")
     rows = table1_rows(args.max_vertices)
     if args.format == "json":
         doc = [
@@ -273,6 +289,11 @@ VERIFIERS = {
 
 
 def cmd_verify(args) -> int:
+    if args.max_loops < 3:
+        raise ValueError(f"--max-loops {args.max_loops}: the suites start at "
+                         "loop order 3")
+    if args.samples < 1:
+        raise ValueError(f"--samples {args.samples}: need at least one sample")
     ok, lines = VERIFIERS[args.suite](args)
     _emit(lines, args.out)
     return 0 if ok else 1

@@ -1,16 +1,20 @@
 """Connectivity classification and SPQR tree decomposition.
 
-Brute-force separation-pair search and recursive splitting; graphs at desk
-scale have at most a few dozen vertices, so auditability wins over
-asymptotics.  Split components are multigraphs internally (bonds, cycles
-with virtual placeholders); the input graph itself is always simple.
+Cut vertices come from one iterative lowpoint DFS (Hopcroft and Tarjan,
+"Dividing a graph into triconnected components", SIAM J. Comput. 2, 1973):
+a separation pair {u, v} is a vertex u together with a cut vertex v of the
+graph with u removed, so the triconnectivity test is at most n + 1 linear
+passes.  The SPQR tree is built by recursive splitting at the least
+separation pair, which fixes the split order and hence the virtual-edge
+ids.  Split components are multigraphs internally (bonds, cycles with
+virtual placeholders); the input graph itself is always simple.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Sequence
 
 from .graphs import GraphError, SimpleGraph, build_graph, is_connected
 
@@ -62,26 +66,61 @@ class SpqrTree:
         return [n.id for n in self.nodes if len(self.neighbors(n.id)) == 1]
 
 
-def _connected_after_removal(g: SimpleGraph, removed: set[int]) -> bool:
-    keep = [v for v in range(g.n) if v not in removed]
-    if not keep:
-        return True
-    mask_keep = 0
-    for v in keep:
-        mask_keep |= 1 << v
-    start = keep[0]
-    comp = 1 << start
-    frontier = comp
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nxt |= g.adj[v] & mask_keep
-        frontier = nxt & ~comp
-        comp |= nxt
-    return comp == mask_keep
+def _cut_vertices(adj: Sequence[int], keep: int) -> int:
+    """Bitmask of the vertices v in the bitmask `keep` such that the graph
+    induced on keep - {v} has two or more components.
+
+    `adj[x]` is the neighbour bitmask of x.  On a connected induced graph
+    these are its articulation points; on a disconnected one, every vertex
+    except an isolated one whose deletion leaves a single component.
+    """
+    disc = [0] * len(adj)  # DFS number
+    low = [0] * len(adj)  # least DFS number reachable by one back edge from the subtree
+    pieces = [0] * len(adj)  # components of (v's component) - v
+    count = 0
+    comps = 0
+    todo = keep  # not yet visited
+    while todo:
+        root = (todo & -todo).bit_length() - 1
+        todo ^= 1 << root
+        comps += 1
+        count += 1
+        disc[root] = low[root] = count
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            nxt = adj[v] & todo
+            if nxt:
+                w = (nxt & -nxt).bit_length() - 1
+                todo ^= 1 << w
+                count += 1
+                disc[w] = lw = count
+                pieces[w] = 1  # the part holding the parent
+                # visited neighbours other than the parent are ancestors
+                back = adj[w] & keep & ~todo & ~(1 << v)
+                while back:
+                    x = (back & -back).bit_length() - 1
+                    back &= back - 1
+                    if disc[x] < lw:
+                        lw = disc[x]
+                low[w] = lw
+                stack.append(w)
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        pieces[p] += 1
+    cuts = 0
+    m = keep
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        if comps - 1 + pieces[v] >= 2:
+            cuts |= 1 << v
+    return cuts
 
 
 def connectivity_class(g: SimpleGraph) -> int:
@@ -90,20 +129,22 @@ def connectivity_class(g: SimpleGraph) -> int:
         raise GraphError("connectivity_class requires a connected graph")
     if g.n < 3:
         return 1
-    for v in range(g.n):
-        if not _connected_after_removal(g, {v}):
-            return 1
-    if separation_pairs(g):
-        return 2
+    full = (1 << g.n) - 1
+    if _cut_vertices(g.adj, full):
+        return 1
+    for u in range(g.n):
+        if _cut_vertices(g.adj, full ^ (1 << u)):
+            return 2
     return 3
 
 
 def separation_pairs(g: SimpleGraph) -> list[tuple[int, int]]:
     """All vertex pairs whose deletion (with incident edges) disconnects g."""
+    full = (1 << g.n) - 1
     pairs = []
-    for u, v in combinations(range(g.n), 2):
-        if not _connected_after_removal(g, {u, v}):
-            pairs.append((u, v))
+    for u in range(g.n):
+        cuts = _cut_vertices(g.adj, full ^ (1 << u))
+        pairs += [(u, v) for v in range(u + 1, g.n) if cuts >> v & 1]
     return pairs
 
 
@@ -155,7 +196,21 @@ def _is_cycle(edges: list[_PartEdge]) -> bool:
     return len(_part_components(edges, set())) == 1
 
 
-def _decompose(edges: list[_PartEdge], next_vid: list[int], out_nodes: list[dict]) -> None:
+def _decompose(
+    edges: list[_PartEdge], first: int, next_vid: list[int], out_nodes: list[dict]
+) -> None:
+    """Split the part `edges` into S, P and R skeleta, appended to out_nodes.
+
+    The part has no separation pair {a, b}, a < b, with a < first, so the
+    scan for the least pair starts at `first`.  A split component at the
+    least pair (u, v) gets first = u.  Deleting a separation pair {a, b}
+    of the component leaves a piece Y that avoids u and v (the virtual edge
+    keeps whichever of them remain together), so Y lies among the
+    component's inner vertices, whose edges all belong to the component,
+    and {a, b} cuts Y off in the part too; a < u would contradict the scan
+    that found (u, v).  The part left after splitting off a bond has the
+    same vertices and adjacency, hence the same pairs.
+    """
     verts = _part_vertices(edges)
 
     if len(verts) == 2:
@@ -175,18 +230,27 @@ def _decompose(edges: list[_PartEdge], next_vid: list[int], out_nodes: list[dict
         out_nodes.append({"kind": "P", "edges": bond})
         rest = [e for e in edges if (e[0], e[1]) != (u, v)]
         rest.append((u, v, ("virtual", vid)))
-        _decompose(rest, next_vid, out_nodes)
+        _decompose(rest, first, next_vid, out_nodes)
         return
 
     if _is_cycle(edges):
         out_nodes.append({"kind": "S", "edges": list(edges)})
         return
 
-    # simple part: find the least separation pair
+    # simple part: the least separation pair (u, v), u < v, is the first u
+    # such that the part minus u has a cut vertex v > u, with the least v
+    adj = [0] * (verts[-1] + 1)
+    for a, b, _ in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    keep = sum(1 << x for x in verts)
     split_pair = None
-    for u, v in combinations(verts, 2):
-        if len(_part_components(edges, {u, v})) >= 2:
-            split_pair = (u, v)
+    for u in verts:
+        if u < first:
+            continue
+        later = _cut_vertices(adj, keep ^ (1 << u)) >> (u + 1)
+        if later:
+            split_pair = (u, u + (later & -later).bit_length())
             break
     if split_pair is None:
         out_nodes.append({"kind": "R", "edges": list(edges)})
@@ -205,7 +269,7 @@ def _decompose(edges: list[_PartEdge], next_vid: list[int], out_nodes: list[dict
         vid = next_vid[0]
         next_vid[0] += 1
         for cls in classes:
-            _decompose(cls + [(u, v, ("virtual", vid))], next_vid, out_nodes)
+            _decompose(cls + [(u, v, ("virtual", vid))], u, next_vid, out_nodes)
         return
 
     hub: list[_PartEdge] = list(direct)
@@ -213,7 +277,7 @@ def _decompose(edges: list[_PartEdge], next_vid: list[int], out_nodes: list[dict
         vid = next_vid[0]
         next_vid[0] += 1
         hub.append((u, v, ("virtual", vid)))
-        _decompose(cls + [(u, v, ("virtual", vid))], next_vid, out_nodes)
+        _decompose(cls + [(u, v, ("virtual", vid))], u, next_vid, out_nodes)
     out_nodes.append({"kind": "P", "edges": hub})
 
 
@@ -250,12 +314,14 @@ def spqr(g: SimpleGraph) -> SpqrTree:
     """The unique SPQR tree of a biconnected graph with >= 3 vertices."""
     if g.n < 3:
         raise GraphError("SPQR tree needs at least 3 vertices")
-    if connectivity_class(g) < 2:
+    if not is_connected(g):
+        raise GraphError("SPQR tree requires a connected graph")
+    if _cut_vertices(g.adj, (1 << g.n) - 1):
         raise GraphError("SPQR tree requires a biconnected graph")
 
     edges: list[_PartEdge] = [(u, v, ("real", (u, v))) for u, v in g.edges]
     raw: list[dict] = []
-    _decompose(edges, [0], raw)
+    _decompose(edges, 0, [0], raw)
     raw = _fuse(raw)
 
     # deterministic node order

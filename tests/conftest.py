@@ -1,12 +1,14 @@
 """Shared fixtures and independent brute-force oracles for the test suite.
 
 The oracles here deliberately avoid the library's own canonical-labeling
-shortcuts wherever a check is meant to be independent: automorphisms and
-isomorphism classes on small graphs are recomputed from raw permutations.
+and connectivity shortcuts wherever a check is meant to be independent:
+automorphisms and isomorphism classes on small graphs are recomputed from
+raw permutations, separation pairs by deleting every vertex pair.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -15,10 +17,8 @@ from graphcomplex import (
     SimpleGraph,
     build_graph,
     canonical_form,
-    connectivity_class,
     is_connected,
     recompose,
-    separation_pairs,
 )
 from graphcomplex.graphs import permutation_sign
 
@@ -121,6 +121,85 @@ def oracle_generate(r: int, k: int) -> frozenset[bytes]:
     return frozenset(out)
 
 
+def _splits(g: SimpleGraph, removed: set[int]) -> bool:
+    """Whether deleting `removed` leaves two or more components."""
+    keep = [v for v in range(g.n) if v not in removed]
+    if not keep:
+        return False
+    nbrs: dict[int, set[int]] = {v: set() for v in keep}
+    for u, v in g.edges:
+        if u not in removed and v not in removed:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    seen = {keep[0]}
+    stack = [keep[0]]
+    while stack:
+        for y in nbrs[stack.pop()] - seen:
+            seen.add(y)
+            stack.append(y)
+    return len(seen) < len(keep)
+
+
+def oracle_separation_pairs(g: SimpleGraph) -> list[tuple[int, int]]:
+    """All pairs u < v whose deletion leaves two or more components, in
+    lexicographic order, by deleting every pair."""
+    return [(u, v) for u, v in combinations(range(g.n), 2) if _splits(g, {u, v})]
+
+
+def oracle_connectivity_class(g: SimpleGraph) -> int:
+    """0 for a disconnected graph, else 1, 2 or 3 as `connectivity_class`
+    defines it: graphs on fewer than 3 vertices are class 1; otherwise the
+    size of the smallest deleted vertex set that leaves two or more
+    components, capped at 3."""
+    if _splits(g, set()):
+        return 0
+    if g.n < 3:
+        return 1
+    if any(_splits(g, {v}) for v in range(g.n)):
+        return 1
+    return 2 if oracle_separation_pairs(g) else 3
+
+
+# triconnected pieces of glued graphs
+PIECES = (k4, k5, lambda: wheel(4), lambda: wheel(5), prism, k33)
+
+
+def glued_graph(
+    rng: random.Random, max_vertices: int = 16, one_sums: bool = False
+) -> SimpleGraph:
+    """Up to four triconnected pieces, each attached at a random edge {u, v}
+    of the graph so far through one of its own edges {a, b}: by a 2-sum
+    that drops or keeps {u, v}, or in series ({u, v} and {a, b} replaced by
+    links u-a and b-v).  With `one_sums`, a piece may instead share the
+    single vertex u, which makes u a cut vertex.  A piece that would pass
+    `max_vertices` is skipped.  Randomly relabeled."""
+    modes = ["sum", "sum_keep", "series"] + (["vertex"] if one_sums else [])
+    first = rng.choice(PIECES)()
+    n, edges = first.n, list(first.edges)
+    for _ in range(rng.randint(0, 3)):
+        h = rng.choice(PIECES)()
+        mode = rng.choice(modes)
+        shared = {"sum": 2, "sum_keep": 2, "series": 0, "vertex": 1}[mode]
+        if n + h.n - shared > max_vertices:
+            continue
+        u, v = rng.choice(edges)
+        a, b = rng.choice(h.edges)
+        label = {a: u, b: v} if shared == 2 else {a: u} if shared == 1 else {}
+        for x in range(h.n):
+            if x not in label:
+                label[x] = n
+                n += 1
+        if mode in ("sum", "series"):
+            edges.remove((u, v))
+        keep_ab = mode == "vertex"
+        edges += [(label[x], label[y]) for x, y in h.edges if keep_ab or (x, y) != (a, b)]
+        if mode == "series":
+            edges += [(u, label[a]), (label[b], v)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[x], perm[y]) for x, y in edges])
+
+
 # ---------------------------------------------------------------------------
 # SPQR structural invariants, shared by the unit and acceptance suites
 
@@ -142,7 +221,7 @@ def check_spqr_invariants(g: SimpleGraph, tree) -> None:
             assert frozenset(twin.endpoints) == frozenset(ve.endpoints)
 
     # skeleton shapes: S = cycle, P = >= 3 parallel edges, R = triconnected
-    seps = set(map(frozenset, separation_pairs(g))) if len(tree.nodes) > 1 else set()
+    seps = set(map(frozenset, oracle_separation_pairs(g))) if len(tree.nodes) > 1 else set()
     for node in tree.nodes:
         m = len(node.real_edges) + len(node.virtual_edges)
         if node.kind == "S":
@@ -163,7 +242,7 @@ def check_spqr_invariants(g: SimpleGraph, tree) -> None:
                 + [tuple(sorted((pos[a], pos[b]))) for a, b in
                    (ve.endpoints for ve in node.virtual_edges)],
             )
-            assert connectivity_class(compact) >= 3
+            assert oracle_connectivity_class(compact) >= 3
 
         # every virtual edge marks a separation pair of the whole graph
         for ve in node.virtual_edges:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from graphcomplex import canonical_form, graph6_encode
 from graphcomplex.cli import main
 
@@ -76,3 +78,31 @@ def test_out_file(tmp_path, capsys):
 
 def test_error_exit_code(capsys):
     assert main(["spqr", "not-a-graph6###"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cohomology", "--loops", "-3"], "--loops -3"),
+        (["cohomology", "--loops", "1"], "--loops 1"),
+        (["dims", "--loops", "0"], "--loops 0"),
+        (["table1", "--max-vertices", "-5"], "--max-vertices -5"),
+        (["table1", "--max-vertices", "5"], "--max-vertices 5"),
+        (["enumerate", "--loops", "3", "--vertices", "40"], "--vertices 40"),
+        (["enumerate", "--loops", "3", "--vertices", "1"], "--vertices 1"),
+        (["enumerate", "--loops", "-1", "--vertices", "4"], "--loops -1"),
+        (["verify", "homotopy", "--samples", "-1"], "--samples -1"),
+        (["verify", "spqr-roundtrip", "--samples", "0"], "--samples 0"),
+        (["verify", "d2", "--max-loops", "2"], "--max-loops 2"),
+    ],
+)
+def test_bad_input_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_spqr_disconnected_input_message(capsys):
+    assert main(["spqr", "D??"]) == 2
+    assert "SPQR tree requires a connected graph" in capsys.readouterr().err

@@ -1,11 +1,16 @@
 """Connectivity classes, SPQR decomposition, and contraction-case predictions."""
 
+import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcomplex import (
     build_graph,
+    canonical_form,
     connectivity_class,
     contract_edge,
     contraction_case,
@@ -19,7 +24,16 @@ from graphcomplex.connectivity import tree_to_json
 from graphcomplex.graphs import GraphError, NonSimple
 from graphcomplex.sampling import biconnected_samples, nontri_samples
 
-from conftest import check_leaf_r, check_spqr_invariants, fig1_graph, k4, mid_graph
+from conftest import (
+    check_leaf_r,
+    check_spqr_invariants,
+    fig1_graph,
+    glued_graph,
+    k4,
+    mid_graph,
+    oracle_connectivity_class,
+    oracle_separation_pairs,
+)
 
 
 def test_connectivity_class_basics():
@@ -39,11 +53,82 @@ def test_separation_pairs_cycle():
     assert separation_pairs(k4()) == []
 
 
+def test_connectivity_matches_brute_force_oracle():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(3, 12)
+        p = rng.uniform(0.15, 0.9)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        assert separation_pairs(g) == oracle_separation_pairs(g)
+        expected = oracle_connectivity_class(g)
+        seen.add(expected)
+        if expected == 0:
+            with pytest.raises(GraphError):
+                connectivity_class(g)
+        else:
+            assert connectivity_class(g) == expected
+    assert seen == {0, 1, 2, 3}
+
+
+def test_connectivity_class_matches_networkx_on_glued_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    seen = set()
+    checked = 0
+    while checked < 150:
+        g = glued_graph(rng, 16, one_sums=True)
+        if g.n < 9:
+            continue
+        # random chords make some graphs triconnected
+        chords = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                  if not g.has_edge(u, v)]
+        g = build_graph(g.n, list(g.edges) + rng.sample(chords, rng.randint(0, 4)))
+        checked += 1
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(g.n))
+        expected = min(nx.node_connectivity(h), 3)
+        seen.add(expected)
+        assert connectivity_class(g) == expected, g
+    assert seen == {1, 2, 3}
+
+
+def test_spqr_and_separation_pairs_output_digests():
+    """Byte-identity guard: both digests were computed with the brute-force
+    pair scans (commit cd805f7) that the lowpoint search replaced."""
+    sample = biconnected_samples(500, seed=31)
+    trees = "".join(tree_to_json(spqr(g)) for g in sample)
+    assert hashlib.sha256(trees.encode()).hexdigest() == (
+        "07ee0df6fa1543bff05518e4e08f1fbfcbae13926c88312f6e97870801374930"
+    )
+    pairs = "".join(repr((connectivity_class(g), separation_pairs(g))) for g in sample)
+    assert hashlib.sha256(pairs.encode()).hexdigest() == (
+        "e5aaee957dbbb3821a78279d9faa21ef7ecbeb5959dc43c1c2af354fdde98cfc"
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_spqr_fuzz_on_glued_graphs(rng):
+    g = glued_graph(rng, 16)
+    tree = spqr(g)
+    assert canonical_form(recompose(tree)).canon_key == canonical_form(g).canon_key
+    pairs = oracle_separation_pairs(g)
+    seps = set(map(frozenset, pairs))
+    for node in tree.nodes:
+        for ve in node.virtual_edges:
+            assert frozenset(ve.endpoints) in seps
+    assert separation_pairs(g) == pairs
+
+
 def test_spqr_rejects_non_biconnected():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="biconnected"):
         spqr(build_graph(3, [(0, 1), (1, 2)]))
     with pytest.raises(GraphError):
         spqr(build_graph(2, [(0, 1)]))
+    with pytest.raises(GraphError, match="requires a connected graph"):
+        spqr(build_graph(4, [(0, 1), (1, 2), (2, 0)]))
 
 
 def test_spqr_triconnected_single_node():
