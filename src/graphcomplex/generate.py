@@ -4,6 +4,13 @@ Edge-augmentation search with the canonical-deletion rule: a child graph is
 accepted only if the edge just added lies in the automorphism orbit of the
 child's canonical deletion edge.  Each isomorphism class of each admissible
 intermediate graph is visited exactly once.
+
+The canonical deletion edge is chosen among the edges with the least pair
+of endpoint degrees (smaller degree first), and among those it is the one
+the canonical relabeling puts last.  The degree pair is an isomorphism
+invariant that needs no canonization, so a child whose new edge does not
+have the least pair is rejected before `canonical_form` is called (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -70,14 +77,37 @@ def _edge_orbit_reps(
     return reps
 
 
+def _degree_pair(deg: list[int], u: int, v: int) -> tuple[int, int]:
+    return (deg[u], deg[v]) if deg[u] < deg[v] else (deg[v], deg[u])
+
+
+def _has_least_degree_pair(
+    deg: list[int], edges: tuple[tuple[int, int], ...], u: int, v: int
+) -> bool:
+    """Whether the non-edge (u, v), once added to the graph with degrees
+    `deg` and edge list `edges`, has the least endpoint-degree pair of all
+    the child's edges, as the canonical deletion edge must."""
+    deg = list(deg)
+    deg[u] += 1
+    deg[v] += 1
+    mine = _degree_pair(deg, u, v)
+    return all(_degree_pair(deg, a, b) >= mine for a, b in edges)
+
+
 def _canonical_deletion_ok(
     child: SimpleGraph, cf: CanonicalClass, new_edge: tuple[int, int]
 ) -> bool:
-    """True iff new_edge is Aut-equivalent to the canonical deletion edge."""
+    """True iff new_edge is Aut-equivalent to the canonical deletion edge:
+    of the edges with the least endpoint-degree pair, the one whose
+    canonically relabeled pair is greatest."""
+    deg = child.degrees()
+    least = min(_degree_pair(deg, u, v) for u, v in child.edges)
     perm = cf.relabel
     best_pair = None
     best_edge = None
     for u, v in child.edges:
+        if _degree_pair(deg, u, v) != least:
+            continue
         a, b = perm[u], perm[v]
         pair = (a, b) if a < b else (b, a)
         if best_pair is None or pair > best_pair:
@@ -124,6 +154,7 @@ def generate(r: int, k: int) -> frozenset[bytes]:
             if min(g.degrees(), default=3) >= 3 and len(component_masks(g)) == 1:
                 out.add(cf.canon_key)
             return
+        deg = g.degrees()
         nonedges = [
             (u, v)
             for u in range(r)
@@ -131,6 +162,8 @@ def generate(r: int, k: int) -> frozenset[bytes]:
             if not g.adj[u] >> v & 1
         ]
         for u, v in _edge_orbit_reps(nonedges, cf.aut_generators):
+            if not _has_least_degree_pair(deg, g.edges, u, v):
+                continue
             child = build_graph(r, list(g.edges) + [(u, v)])
             if not _feasible(child, k):
                 continue

@@ -1,8 +1,11 @@
 """Isomorph-free generation against the exhaustive labeled oracle."""
 
+import random
+
 import pytest
 
-from graphcomplex import build_basis, canonical_form, generate, graph6_decode
+from graphcomplex import build_basis, build_graph, canonical_form, generate, graph6_decode
+from graphcomplex.generate import _canonical_deletion_ok, _has_least_degree_pair
 
 from conftest import k4, k33, oracle_generate, prism
 
@@ -23,6 +26,33 @@ def test_known_small_sets():
     assert generate(5, 10) == frozenset(
         {canonical_form(graph6_decode(b"D~{")).canon_key}
     )
+
+
+def test_connected_cubic_counts():
+    # OEIS A002851: connected cubic graphs on 4, 6, 8 and 10 vertices
+    assert [len(generate(r, 3 * r // 2)) for r in (4, 6, 8, 10)] == [1, 2, 5, 19]
+
+
+def test_degree_prefilter_keeps_the_canonical_deletion_edge():
+    """The generator drops a child before canonizing it when the new edge
+    lacks the least endpoint-degree pair; the edge the canonical deletion
+    rule accepts must always pass that test."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        p = rng.uniform(0.2, 0.9)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        if not g.edges:
+            continue
+        cf = canonical_form(g)
+        accepted = [e for e in g.edges if _canonical_deletion_ok(g, cf, e)]
+        assert accepted
+        for u, v in g.edges:
+            parent = build_graph(n, [e for e in g.edges if e != (u, v)])
+            passes = _has_least_degree_pair(parent.degrees(), parent.edges, u, v)
+            if (u, v) in accepted:
+                assert passes, (g, (u, v))
 
 
 def test_generate_output_properties():
