@@ -24,7 +24,7 @@ from .connectivity import (
     spqr,
 )
 from .formal import FormalSum, singleton
-from .generate import Basis, build_basis, generate
+from .generate import Basis, build_basis
 from .graphs import (
     GraphError,
     Grading,

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .graphs import SimpleGraph, build_graph, graph6_encode, permutation_sign
+from .graphs import (
+    SimpleGraph,
+    build_graph,
+    graph6_decode,
+    graph6_encode,
+    permutation_sign,
+)
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,11 @@ class CanonicalClass:
     is_zero: bool
     aut_generators: tuple[tuple[int, ...], ...]
     relabel: tuple[int, ...]
-    canon_graph: SimpleGraph
+
+    @property
+    def canon_graph(self) -> SimpleGraph:
+        """The canonically relabeled graph, edges in lexicographic order."""
+        return graph6_decode(self.canon_key.split(b"#")[0])
 
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
@@ -230,13 +240,28 @@ class _Search:
 
 @lru_cache(maxsize=200_000)
 def _canonical_labeling(
-    n: int, adj: tuple[int, ...], colors: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    if n == 0:
-        return (), ()
-    search = _Search(n, adj, colors)
-    perm, gens = search.run()
-    return tuple(perm), tuple(gens)
+    n: int, adj: tuple[int, ...], colors: tuple[int, ...] | None
+) -> tuple[bytes, int, bool, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Everything about a class that does not depend on the edge order:
+    canonical key, the sign taken from the lexicographic edge order, zero
+    flag, automorphism generators and the canonical relabeling."""
+    cols = colors if colors is not None else (0,) * n
+    perm, gens = _Search(n, adj, cols).run()
+    perm, gens = tuple(perm), tuple(gens)
+    base = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
+    canon_edges = sorted(
+        (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
+        for u, v in base
+    )
+    key = graph6_encode(build_graph(n, canon_edges))
+    if colors is not None:
+        inv = [0] * n
+        for v, p in enumerate(perm):
+            inv[p] = v
+        key += b"#" + bytes(cols[inv[p]] for p in range(n))
+    # parity of an automorphism's edge action, relative to the sorted order
+    is_zero = any(_edge_perm_sign(base, sigma) < 0 for sigma in gens)
+    return key, _edge_perm_sign(base, perm), is_zero, gens, perm
 
 
 def _edge_perm_sign(g_edges: Sequence[tuple[int, int]], sigma: Sequence[int]) -> int:
@@ -248,35 +273,22 @@ def _edge_perm_sign(g_edges: Sequence[tuple[int, int]], sigma: Sequence[int]) ->
 
 
 def canonical_form(g: SimpleGraph, colors: Sequence[int] | None = None) -> CanonicalClass:
-    """Canonical class of a (possibly vertex-colored) simple graph."""
-    cols = tuple(colors) if colors is not None else (0,) * g.n
-    if len(cols) != g.n:
-        raise ValueError("color sequence length mismatch")
-    perm, gens = _canonical_labeling(g.n, g.adj, cols)
+    """Canonical class of a (possibly vertex-colored) simple graph.
 
-    canon_edges = sorted(
-        (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-        for u, v in g.edges
-    )
-    canon_graph = build_graph(g.n, canon_edges)
-    key = graph6_encode(canon_graph)
+    The edge order enters only through the sign: the sign to the canonical
+    order is the cached sign of the sorted order times the parity of the
+    edge sequence itself."""
     if colors is not None:
-        inv = [0] * g.n
-        for v, p in enumerate(perm):
-            inv[p] = v
-        key += b"#" + bytes(cols[inv[p]] for p in range(g.n))
-
-    # parity of an automorphism's edge action, relative to a sorted base order
-    base = sorted(g.edges)
-    is_zero = any(_edge_perm_sign(base, sigma) < 0 for sigma in gens)
-    sign = _edge_perm_sign(g.edges, perm)
+        colors = tuple(colors)
+        if len(colors) != g.n:
+            raise ValueError("color sequence length mismatch")
+    key, sorted_sign, is_zero, gens, perm = _canonical_labeling(g.n, g.adj, colors)
     return CanonicalClass(
         canon_key=key,
-        sign_to_canon=sign,
+        sign_to_canon=sorted_sign * permutation_sign(g.edges),
         is_zero=is_zero,
         aut_generators=gens,
         relabel=perm,
-        canon_graph=canon_graph,
     )
 
 

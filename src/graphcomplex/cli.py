@@ -307,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--out", help="write the report to this path")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface stability; the engine is "
-                   "single-threaded and deterministic")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("enumerate", help="graph6 stream of one basis")

@@ -26,9 +26,10 @@ since that formula requires ad_Dbar(delta0) = -nabla.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .canon import aut_group_order, canonical_form
 from .formal import FormalSum
@@ -43,23 +44,49 @@ from .graphs import (
 )
 
 Operator = Callable[[FormalSum], FormalSum]
+Terms = Iterator[tuple[SimpleGraph, Fraction | int]]
+
+# the number of classes whose image each operator keeps
+IMAGE_CACHE_SIZE = 4096
 
 
-def _terms(x: FormalSum):
+def _class_image(terms: Callable[[SimpleGraph], Terms]):
+    """The image of one class key under the operator whose value on a
+    concrete graph is the sum of ``terms(g)``, computed once per process and
+    kept immutable so that callers cannot alter a cached image."""
+
+    @lru_cache(maxsize=IMAGE_CACHE_SIZE)
+    def image(key: bytes) -> tuple[tuple[bytes, Fraction], ...]:
+        out = FormalSum()
+        for h, coeff in terms(graph6_decode(key)):
+            out.add_graph(h, coeff)
+        return tuple(out.terms.items())
+
+    return image
+
+
+def _extend(image, x: FormalSum) -> FormalSum:
+    """Linear extension: the sum of coeff * image(key) over the terms of x."""
+    out = FormalSum()
     for key, coeff in x:
-        yield graph6_decode(key), coeff
+        for ikey, icoeff in image(key):
+            out.add_term(ikey, coeff * icoeff)
+    return out
+
+
+def _contractions(g: SimpleGraph) -> Terms:
+    for j in range(g.k):
+        image = contract_edge(g, j)
+        if not isinstance(image, NonSimple):
+            yield image, (-1) ** j
+
+
+_d_image = _class_image(_contractions)
 
 
 def apply_d(x: FormalSum) -> FormalSum:
     """Signed sum of simple edge contractions, extended linearly."""
-    out = FormalSum()
-    for g, coeff in _terms(x):
-        for j in range(g.k):
-            image = contract_edge(g, j)
-            if isinstance(image, NonSimple):
-                continue
-            out.add_graph(image, coeff * (-1) ** j)
-    return out
+    return _extend(_d_image, x)
 
 
 def _split_vertex(
@@ -77,34 +104,41 @@ def _split_vertex(
     return build_graph(g.n + 1, edges)
 
 
+def _splittings(g: SimpleGraph) -> Terms:
+    for v in range(g.n):
+        incident = [i for i, e in enumerate(g.edges) if v in e]
+        m = len(incident)
+        if m < 4:
+            continue
+        # unordered blocks: the first incident edge stays with v
+        rest = incident[1:]
+        for size in range(2, m - 1):
+            for moved in combinations(rest, size):
+                yield _split_vertex(g, v, moved), 1
+
+
+_delta0_image = _class_image(_splittings)
+
+
 def apply_delta0(x: FormalSum) -> FormalSum:
     """Vertex splitting: each vertex of valence >= 4, each unordered
     distribution of its edges into two blocks of size >= 2."""
-    out = FormalSum()
-    for g, coeff in _terms(x):
-        for v in range(g.n):
-            incident = [i for i, e in enumerate(g.edges) if v in e]
-            m = len(incident)
-            if m < 4:
-                continue
-            # unordered blocks: the first incident edge stays with v
-            anchor, rest = incident[0], incident[1:]
-            for size in range(2, m - 1):
-                for moved in combinations(rest, size):
-                    out.add_graph(_split_vertex(g, v, moved), coeff)
-    return out
+    return _extend(_delta0_image, x)
+
+
+def _edge_additions(g: SimpleGraph) -> Terms:
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.has_edge(u, v):
+                yield add_edge(g, u, v), 1
+
+
+_nabla_image = _class_image(_edge_additions)
 
 
 def apply_nabla(x: FormalSum) -> FormalSum:
     """Add one edge in all possible ways (new edge first)."""
-    out = FormalSum()
-    for g, coeff in _terms(x):
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if not g.has_edge(u, v):
-                    child = add_edge(g, u, v)
-                    out.add_graph(child, coeff)
-    return out
+    return _extend(_nabla_image, x)
 
 
 def _reattachments(g: SimpleGraph, v: int):
@@ -138,6 +172,23 @@ def _reattachments(g: SimpleGraph, v: int):
     yield from rec(0, {}, set())
 
 
+def _vertex_removals(g: SimpleGraph) -> Terms:
+    for v in range(g.n):
+        weight = Fraction((-1) ** (g.degree(v) + 1), 2)
+        relabel = [u if u < v else u - 1 for u in range(g.n)]
+        for assignment in _reattachments(g, v):
+            edges = []
+            for i, (a, b) in enumerate(g.edges):
+                if i in assignment:
+                    w = b if a == v else a
+                    a, b = assignment[i], w
+                edges.append((relabel[a], relabel[b]))
+            yield build_graph(g.n - 1, edges), weight
+
+
+_D_image = _class_image(_vertex_removals)
+
+
 def apply_D(x: FormalSum) -> FormalSum:
     """Remove one vertex and reconnect its edges in all legal ways, with
     weight (-1)^(deg v + 1) / 2 for the removal of vertex v.
@@ -145,20 +196,7 @@ def apply_D(x: FormalSum) -> FormalSum:
     Output classes may be disconnected; loop order rises by one while the
     edge count is unchanged.
     """
-    out = FormalSum()
-    for g, coeff in _terms(x):
-        for v in range(g.n):
-            weight = Fraction((-1) ** (g.degree(v) + 1), 2)
-            relabel = [u if u < v else u - 1 for u in range(g.n)]
-            for assignment in _reattachments(g, v):
-                edges = []
-                for i, (a, b) in enumerate(g.edges):
-                    if i in assignment:
-                        w = b if a == v else a
-                        a, b = assignment[i], w
-                    edges.append((relabel[a], relabel[b]))
-                out.add_graph(build_graph(g.n - 1, edges), coeff * weight)
-    return out
+    return _extend(_D_image, x)
 
 
 def component_count(key: bytes) -> int:

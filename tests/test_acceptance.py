@@ -16,7 +16,6 @@ from graphcomplex import (
     connectivity_class,
     contract_edge,
     contraction_case,
-    generate,
     grade_range,
     homotopy_check,
     r_edge_weight,
@@ -27,6 +26,7 @@ from graphcomplex import (
 )
 from graphcomplex.cli import main
 from graphcomplex.complexes import VARIANTS, differential_matrix
+from graphcomplex.generate import generate
 from graphcomplex.graphs import NonSimple
 from graphcomplex.operators import aut_order, identity_suite
 from graphcomplex.sampling import biconnected_samples, nontri_samples

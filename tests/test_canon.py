@@ -125,3 +125,36 @@ def test_colored_invariance_under_color_respecting_relabeling():
             canonical_form(h, colors=tuple(moved)).canon_key
             == canonical_form(g, colors=colors).canon_key
         )
+
+
+def test_cached_labeling_matches_direct_sign_and_ignores_edge_order():
+    """The labeling cache holds what does not depend on the edge order; the
+    sign must still equal the direct formula (the parity of the input edges'
+    images under the relabeling), cold or warm, in every edge order."""
+    from graphcomplex.canon import _canonical_labeling
+    from graphcomplex.graphs import permutation_sign
+
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        colors = tuple(rng.randint(0, 2) for _ in range(n)) if rng.random() < 0.3 else None
+        _canonical_labeling.cache_clear()
+        first = None
+        for _ in range(4):
+            rng.shuffle(edges)
+            g = build_graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+            cf = canonical_form(g, colors)  # cold in the first order
+            first = first or cf
+            warm = canonical_form(g, colors)
+            assert warm == cf
+            perm = warm.relabel
+            direct = permutation_sign(
+                [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges]
+            )
+            assert warm.sign_to_canon == direct, (g, colors)
+            assert (warm.canon_key, warm.is_zero, warm.aut_generators, warm.relabel) == (
+                first.canon_key, first.is_zero, first.aut_generators, first.relabel
+            )
+            assert relabeled(g, perm).adj == warm.canon_graph.adj

@@ -106,3 +106,10 @@ def test_bad_input_exits_2(argv, message, capsys):
 def test_spqr_disconnected_input_message(capsys):
     assert main(["spqr", "D??"]) == 2
     assert "SPQR tree requires a connected graph" in capsys.readouterr().err
+
+
+def test_threads_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dims", "--loops", "3", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

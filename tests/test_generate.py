@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from graphcomplex import build_basis, build_graph, canonical_form, generate, graph6_decode
-from graphcomplex.generate import _canonical_deletion_ok, _has_least_degree_pair
+from graphcomplex import build_basis, build_graph, canonical_form, graph6_decode
+from graphcomplex.generate import _canonical_deletion_ok, _has_least_degree_pair, generate
 
 from conftest import k4, k33, oracle_generate, prism
 
@@ -91,3 +91,14 @@ def test_basis_sorted_and_deterministic():
 def test_build_basis_rejects_unknown_variant():
     with pytest.raises(ValueError):
         build_basis(3, 4, "nonsense")
+
+
+def test_generate_submodule_is_not_shadowed():
+    import types
+
+    import graphcomplex
+    import graphcomplex.generate as module
+
+    assert isinstance(module, types.ModuleType)
+    assert graphcomplex.generate is module
+    assert module.generate(4, 6) == generate(4, 6)

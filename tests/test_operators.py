@@ -1,5 +1,7 @@
 """Dual-side operators: gradings, adjointness, and the identity suite."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,9 +26,11 @@ from graphcomplex import (
     singleton,
 )
 from graphcomplex.graphs import component_masks, grading_of
-from graphcomplex.operators import aut_order
+from graphcomplex.operators import IDENTITIES, aut_order
 
-from conftest import k4, k5, wheel
+from conftest import k4, k5, relabeled, wheel
+
+OPERATORS = (apply_d, apply_delta0, apply_nabla, apply_D, apply_Dbar)
 
 
 def all_basis_keys(max_loops: int, variant: str = "full") -> list[bytes]:
@@ -174,3 +178,114 @@ def test_identity_suite_detects_wrong_signs():
     right = apply_delta0(apply_D(x)) - apply_D(apply_delta0(x)) - apply_nabla(x)
     assert right.is_zero()
     assert not wrong.is_zero()
+
+
+def guard_keys() -> list[bytes]:
+    """The biconnected classes of loop orders 3-5 and the 7-vertex
+    biconnected classes of loop order 6."""
+    return all_basis_keys(5, "biconnected") + list(build_basis(6, 7, "biconnected").keys)
+
+
+def test_operator_output_digests():
+    """Byte-identity guard: the digests were computed before the operator
+    images and canonical data were memoized (commit 71ed499)."""
+    keys = guard_keys()
+    assert len(keys) == 9
+    reports = "".join(repr(identity_suite(name, keys)) for name in IDENTITIES)
+    assert hashlib.sha256(reports.encode()).hexdigest() == (
+        "47e50d0b16994ed8c35e1eb558657a60c5fd034d4a0636595b7f6a076dc23fd4"
+    )
+    one_step = []
+    two_step = []
+    for key in keys:
+        x = FormalSum()
+        x.add_term(key, 1)
+        for op in OPERATORS:
+            y = op(x)
+            one_step.append(repr(list(y)))
+            two_step.append(repr(list(y)))
+            two_step += [repr(list(op2(y))) for op2 in OPERATORS]
+    assert hashlib.sha256("".join(one_step).encode()).hexdigest() == (
+        "b71470b245ce3f2240dd2d9ada96dfd294aa74b0f5ceefa4ffe40650f0c51e61"
+    )
+    assert hashlib.sha256("".join(two_step).encode()).hexdigest() == (
+        "70c873a906d3c1feafbaa2e63bd591365295530a61f50eb91f3084aea30c50fb"
+    )
+
+
+def random_labeling(g, rng):
+    """g with its vertices permuted and its edge order shuffled."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = relabeled(g, tuple(perm))
+    edges = list(h.edges)
+    rng.shuffle(edges)
+    return build_graph(h.n, edges)
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+def test_memoized_operators_are_linear(op):
+    """op(sum c_i g_i) == sum c_i op(g_i) for random rational coefficients,
+    with the g_i given as concrete graphs in random labelings."""
+    rng = random.Random(17)
+    graphs = [graph6_decode(k) for k in guard_keys()] + [wheel(5), wheel(6)]
+    for _ in range(20):
+        picks = rng.sample(graphs, rng.randint(1, 4))
+        terms = [
+            (random_labeling(g, rng), Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)))
+            for g in picks
+        ]
+        x = FormalSum()
+        expected = FormalSum()
+        for g, c in terms:
+            x.add_graph(g, c)
+            expected += op(singleton(g)).scaled(c)
+        assert op(x) == expected
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+def test_memoized_operators_cancel(op):
+    """Opposite orientations of one class cancel in the input, and an output
+    coefficient shared by two classes cancels when the inputs are weighted
+    against each other."""
+    rng = random.Random(23)
+    keys = guard_keys()
+    g = graph6_decode(keys[-1])
+    h = random_labeling(g, rng)
+    flip = canonical_form(g).sign_to_canon * canonical_form(h).sign_to_canon
+    x = singleton(g) - singleton(h, flip)
+    assert x.is_zero() and op(x).is_zero()
+
+    for a in keys:
+        ya = op(singleton(graph6_decode(a)))
+        for b in keys:
+            yb = op(singleton(graph6_decode(b)))
+            shared = sorted(set(ya.keys()) & set(yb.keys()))
+            if a == b or not shared:
+                continue
+            k = shared[0]
+            ca = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            cb = -ca * ya.coefficient(k) / yb.coefficient(k)
+            x = singleton(graph6_decode(a), ca) + singleton(graph6_decode(b), cb)
+            out = op(x)
+            assert out.coefficient(k) == 0 and k not in out.terms
+            assert out == ya.scaled(ca) + yb.scaled(cb)
+
+
+def test_mutating_an_image_does_not_change_later_calls():
+    for op in OPERATORS:
+        mutated = 0
+        for key in guard_keys():
+            x = FormalSum()
+            x.add_term(key, 1)
+            first = op(x)
+            snapshot = dict(first.terms)
+            if not snapshot:
+                continue
+            first.add_term(next(iter(snapshot)), 7)
+            first.add_term(key, 1)
+            first.terms.clear()
+            assert op(x).terms == snapshot
+            assert op(x.scaled(3)) == FormalSum(snapshot).scaled(3)
+            mutated += 1
+        assert mutated, op.__name__
