@@ -46,8 +46,11 @@ from .graphs import (
 Operator = Callable[[FormalSum], FormalSum]
 Terms = Iterator[tuple[SimpleGraph, Fraction | int]]
 
-# the number of classes whose image each operator keeps
-IMAGE_CACHE_SIZE = 4096
+# The number of classes whose image each operator keeps.  The most distinct
+# inputs measured for one operator are 1,302 (D in `verify deltak
+# --max-loops 6`, 34 MiB of images); a bound below that count re-computes
+# images, since the identity suites revisit classes far apart in time.
+_IMAGE_CACHE_SIZE = 2048
 
 
 def _class_image(terms: Callable[[SimpleGraph], Terms]):
@@ -55,7 +58,7 @@ def _class_image(terms: Callable[[SimpleGraph], Terms]):
     concrete graph is the sum of ``terms(g)``, computed once per process and
     kept immutable so that callers cannot alter a cached image."""
 
-    @lru_cache(maxsize=IMAGE_CACHE_SIZE)
+    @lru_cache(maxsize=_IMAGE_CACHE_SIZE)
     def image(key: bytes) -> tuple[tuple[bytes, Fraction], ...]:
         out = FormalSum()
         for h, coeff in terms(graph6_decode(key)):

@@ -245,17 +245,10 @@ def test_memoized_operators_are_linear(op):
 
 @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
 def test_memoized_operators_cancel(op):
-    """Opposite orientations of one class cancel in the input, and an output
-    coefficient shared by two classes cancels when the inputs are weighted
-    against each other."""
+    """An output coefficient shared by two classes cancels when the inputs
+    are weighted against each other."""
     rng = random.Random(23)
     keys = guard_keys()
-    g = graph6_decode(keys[-1])
-    h = random_labeling(g, rng)
-    flip = canonical_form(g).sign_to_canon * canonical_form(h).sign_to_canon
-    x = singleton(g) - singleton(h, flip)
-    assert x.is_zero() and op(x).is_zero()
-
     for a in keys:
         ya = op(singleton(graph6_decode(a)))
         for b in keys:
