@@ -46,45 +46,48 @@ class CanonicalClass:
         return graph6_decode(self.canon_key.split(b"#")[0])
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement; cell order is isomorphism-invariant."""
-    while True:
-        changed = False
-        nc = len(cells)
-        si = 0
-        while si < nc:
-            s_mask = 0
-            for v in cells[si]:
-                s_mask |= 1 << v
-            ci = 0
-            while ci < nc:
-                cell = cells[ci]
-                if len(cell) > 1:
-                    groups: dict[int, list[int]] = {}
-                    for v in cell:
-                        groups.setdefault((adj[v] & s_mask).bit_count(), []).append(v)
-                    if len(groups) > 1:
-                        cells[ci : ci + 1] = [groups[key] for key in sorted(groups)]
-                        changed = True
-                        nc = len(cells)
-                        si = -1  # restart splitter scan for deterministic order
-                        break
-                ci += 1
+def _refine(
+    adj: tuple[int, ...], cells: list[list[int]], clean: list[bool]
+) -> list[list[int]]:
+    """Equitable refinement; cell order is isomorphism-invariant.
+
+    ``clean[i]`` marks a cell that splits no cell, and stays true when other
+    cells split, since a part of a stable cell is stable.  Each step splits
+    the least cell that the least splitting cell splits, which is the order
+    a full rescan after every split would give.  Both lists are updated in
+    place."""
+    si = 0
+    while si < len(cells):
+        if clean[si]:
             si += 1
-        if not changed:
-            return cells
+            continue
+        s_mask = 0
+        for v in cells[si]:
+            s_mask |= 1 << v
+        for ci, cell in enumerate(cells):
+            if len(cell) == 1:
+                continue
+            counts = [(adj[v] & s_mask).bit_count() for v in cell]
+            if counts.count(counts[0]) == len(counts):
+                continue
+            groups: dict[int, list[int]] = {}
+            for v, c in zip(cell, counts):
+                groups.setdefault(c, []).append(v)
+            cells[ci : ci + 1] = [groups[c] for c in sorted(groups)]
+            clean[ci : ci + 1] = [False] * len(groups)
+            si = min(si, ci)
+            break
+        else:
+            clean[si] = True
+            si += 1
+    return cells
 
 
 def _node_token(adj: tuple[int, ...], cells: list[list[int]]) -> tuple:
     """Isomorphism-invariant node descriptor: cell sizes + quotient counts."""
-    masks = []
-    for cell in cells:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        masks.append(m)
-    sizes = tuple(len(c) for c in cells)
-    quot = tuple((adj[cell[0]] & m).bit_count() for cell in cells for m in masks)
+    masks = [sum(1 << v for v in cell) for cell in cells]
+    sizes = tuple([len(c) for c in cells])
+    quot = tuple([(adj[cell[0]] & m).bit_count() for cell in cells for m in masks])
     return (sizes, quot)
 
 
@@ -123,7 +126,7 @@ class _Search:
         for v in range(self.n):
             initial.setdefault(self.colors[v], []).append(v)
         cells = [initial[c] for c in sorted(initial)]
-        self._explore(cells, (), 0, True, "eq")
+        self._explore(cells, [False] * len(cells), (), 0, True, "eq")
         assert self.best is not None
         return self.best[2], self.gens
 
@@ -158,13 +161,14 @@ class _Search:
     def _explore(
         self,
         cells: list[list[int]],
+        clean: list[bool],
         prefix: tuple[int, ...],
         depth: int,
         eq_first: bool,
         cmp_best: str,
     ) -> bool:
         """Returns True if self.best was (re)placed within this subtree."""
-        cells = _refine(self.adj, cells)
+        cells = _refine(self.adj, cells, clean)
         token = _node_token(self.adj, cells)
         del self.cur_trace[depth:]
         self.cur_trace.append(token)
@@ -227,10 +231,14 @@ class _Search:
                 if any(orbit_id[v] == orbit_id[u] for u in processed):
                     continue
             processed.append(v)
-            child = [list(c) for c in cells]
-            rest = [u for u in target if u != v]
-            child[target_idx : target_idx + 1] = [[v], rest]
-            if self._explore(child, prefix + (v,), depth + 1, eq_first, cmp_best):
+            # a refined partition is all clean; only [v] and rest are new
+            child = cells[:]
+            child[target_idx : target_idx + 1] = [[v], [u for u in target if u != v]]
+            child_clean = [True] * len(child)
+            child_clean[target_idx] = child_clean[target_idx + 1] = False
+            if self._explore(
+                child, child_clean, prefix + (v,), depth + 1, eq_first, cmp_best
+            ):
                 replaced = True
                 # the new best leaf lies under this node, so from here on the
                 # prefix traces agree exactly

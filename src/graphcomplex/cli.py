@@ -29,7 +29,7 @@ from .connectivity import (
     tree_to_json,
 )
 from .canon import canonical_form
-from .generate import build_basis
+from .generate import build_basis, graded_bases
 from .graphs import NonSimple, contract_edge, graph6_decode
 from .sampling import biconnected_samples, nontri_samples
 
@@ -66,10 +66,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_dims(args) -> int:
     _check_loops(args.loops)
-    rows = []
-    for r in grade_range(args.loops):
-        dims = [len(build_basis(args.loops, r, v)) for v in VARIANTS]
-        rows.append([args.loops, r] + dims)
+    bases = [graded_bases(args.loops, v) for v in VARIANTS]
+    rows = [[args.loops, r] + [len(b[r]) for b in bases] for r in grade_range(args.loops)]
     if args.format == "json":
         doc = [
             {"loops": g, "vertices": r, "full": a, "biconnected": b, "triconnected": c}
@@ -161,8 +159,8 @@ def _verify_theorem1(args) -> tuple[bool, list[str]]:
 def _suite_keys(max_loops: int, variant: str) -> list[bytes]:
     keys: list[bytes] = []
     for g in range(3, max_loops + 1):
-        for r in grade_range(g):
-            keys += list(build_basis(g, r, variant).keys)
+        for basis in graded_bases(g, variant).values():
+            keys += basis.keys
     return keys
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .canon import canonical_form
-from .generate import Basis, build_basis
+from .generate import Basis, build_basis, grade_range, graded_bases
 from .graphs import GraphError, NonSimple, contract_edge, graph6_decode
 from .matrixops import SparseRationalMatrix, exact_rank
 
@@ -80,14 +80,6 @@ class CohomologyReport:
         return dict(self.table_n2)
 
 
-def grade_range(g: int) -> range:
-    """Vertex counts r that can carry loop-order-g basis graphs.
-
-    Min valence 3 forces 2(g + r - 1) >= 3r, i.e. r <= 2(g - 1).
-    """
-    return range(2, 2 * (g - 1) + 1)
-
-
 def cohomology_dims(g: int, variant: str = "full") -> CohomologyReport:
     """Exact cohomology dimensions of the loop-order-g piece.
 
@@ -95,8 +87,8 @@ def cohomology_dims(g: int, variant: str = "full") -> CohomologyReport:
     matrix products, and reports rank-nullity dimensions with both degree
     readouts (n=0: -k; n=2: k - 2(r-1), reported index k = r - g - 1).
     """
-    rs = list(grade_range(g))
-    bases = {r: build_basis(g, r, variant) for r in rs}
+    bases = graded_bases(g, variant)
+    rs = list(bases)
     mats: dict[int, SparseRationalMatrix] = {}  # r -> matrix of d: r -> r-1
     for r in rs:
         if r - 1 >= rs[0]:

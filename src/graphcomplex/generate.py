@@ -5,6 +5,10 @@ accepted only if the edge just added lies in the automorphism orbit of the
 child's canonical deletion edge.  Each isomorphism class of each admissible
 intermediate graph is visited exactly once.
 
+`generate` runs this search for one grade.  `graded_classes` runs it only
+for the cubic grade of a loop order and builds every lower grade as the
+simple edge contractions of the grade above.
+
 The canonical deletion edge is chosen among the edges with the least pair
 of endpoint degrees (smaller degree first), and among those it is the one
 the canonical relabeling puts last.  The degree pair is an isomorphism
@@ -17,10 +21,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .canon import CanonicalClass, canonical_form
 from .connectivity import connectivity_class
-from .graphs import SimpleGraph, build_graph, component_masks, graph6_decode
+from .graphs import (
+    NonSimple,
+    SimpleGraph,
+    build_graph,
+    component_masks,
+    contract_edge,
+    graph6_decode,
+)
+
+
+class ClassKeys(frozenset):
+    """Canonical keys of the classes of one grade; ``zero`` is the subset of
+    orientation-zero classes, kept from the canonical forms that found them."""
+
+    __slots__ = ("zero",)
+
+    def __new__(cls, keys: Iterable[bytes] = (), zero: Iterable[bytes] = ()):
+        self = super().__new__(cls, keys)
+        self.zero = frozenset(zero)
+        return self
 
 
 def _deficiency(g: SimpleGraph) -> int:
@@ -139,20 +164,24 @@ def _canonical_deletion_ok(
 
 
 @lru_cache(maxsize=256)
-def generate(r: int, k: int) -> frozenset[bytes]:
+def generate(r: int, k: int) -> ClassKeys:
     """Canonical keys of all connected simple graphs, r vertices, k edges,
-    every vertex at least trivalent.  Orientation-zero classes included."""
+    every vertex at least trivalent.  Orientation-zero classes included,
+    and listed in ``.zero``."""
     if r < 1 or k < 0:
-        return frozenset()
+        return ClassKeys()
     out: set[bytes] = set()
+    zero: set[bytes] = set()
     root = build_graph(r, [])
     if not _feasible(root, k):
-        return frozenset()
+        return ClassKeys()
 
     def recurse(g: SimpleGraph, cf: CanonicalClass) -> None:
         if g.k == k:
             if min(g.degrees(), default=3) >= 3 and len(component_masks(g)) == 1:
                 out.add(cf.canon_key)
+                if cf.is_zero:
+                    zero.add(cf.canon_key)
             return
         deg = g.degrees()
         nonedges = [
@@ -172,7 +201,50 @@ def generate(r: int, k: int) -> frozenset[bytes]:
                 recurse(child, cfc)
 
     recurse(root, canonical_form(root))
-    return frozenset(out)
+    return ClassKeys(out, zero)
+
+
+def grade_range(g: int) -> range:
+    """Vertex counts r that can carry loop-order-g basis graphs.
+
+    Min valence 3 forces 2(g + r - 1) >= 3r, i.e. r <= 2(g - 1).
+    """
+    return range(2, 2 * (g - 1) + 1)
+
+
+def _contraction_classes(classes: ClassKeys) -> ClassKeys:
+    """Classes of the simple edge contractions of the given classes."""
+    out: set[bytes] = set()
+    zero: set[bytes] = set()
+    for key in classes:
+        graph = graph6_decode(key)
+        for j in range(graph.k):
+            image = contract_edge(graph, j)
+            if isinstance(image, NonSimple):
+                continue
+            cf = canonical_form(image)
+            out.add(cf.canon_key)
+            if cf.is_zero:
+                zero.add(cf.canon_key)
+    return ClassKeys(out, zero)
+
+
+@lru_cache(maxsize=16)
+def graded_classes(g: int) -> Mapping[int, ClassKeys]:
+    """generate(r, g + r - 1) for every grade r of loop order g, ascending.
+
+    Only the cubic grade r = 2g - 2 is searched.  A simple contraction keeps
+    a graph connected and at least trivalent, and splitting a vertex of
+    valence d >= 4 into valences 3 and d - 1 undoes one, so each lower grade
+    is the set of contractions of the grade above, orientation-zero classes
+    of that grade included."""
+    rs = grade_range(g)
+    if not rs:
+        return MappingProxyType({})
+    classes = {rs[-1]: generate(rs[-1], g + rs[-1] - 1)}
+    for r in reversed(rs[:-1]):
+        classes[r] = _contraction_classes(classes[r + 1])
+    return MappingProxyType(dict(sorted(classes.items())))
 
 
 _THRESHOLD = {"full": 1, "biconnected": 2, "triconnected": 3}
@@ -192,23 +264,18 @@ class Basis:
         return len(self.keys)
 
 
-def build_basis(g: int, r: int, variant: str = "full") -> Basis:
-    """Basis of the (loop order g, r vertices) piece: generate, drop
+def _basis(g: int, r: int, variant: str, classes: ClassKeys) -> Basis:
+    """Basis of the (loop order g, r vertices) piece from its classes: drop
     orientation-zero classes, drop classes below the variant's
     connectivity threshold, sort lexicographically."""
     if variant not in _THRESHOLD:
         raise ValueError(f"unknown variant {variant!r}")
     threshold = _THRESHOLD[variant]
-    k = g + r - 1
-    keys = []
-    for key in generate(r, k):
-        graph = graph6_decode(key)
-        if canonical_form(graph).is_zero:
-            continue
-        if threshold > 1 and connectivity_class(graph) < threshold:
-            continue
-        keys.append(key)
-    keys.sort()
+    keys = sorted(
+        key
+        for key in classes - classes.zero
+        if threshold == 1 or connectivity_class(graph6_decode(key)) >= threshold
+    )
     return Basis(
         loop_order=g,
         vertex_count=r,
@@ -216,3 +283,14 @@ def build_basis(g: int, r: int, variant: str = "full") -> Basis:
         keys=tuple(keys),
         index={key: i for i, key in enumerate(keys)},
     )
+
+
+def build_basis(g: int, r: int, variant: str = "full") -> Basis:
+    """Basis of one graded piece, from a search of that grade alone."""
+    return _basis(g, r, variant, generate(r, g + r - 1))
+
+
+def graded_bases(g: int, variant: str = "full") -> dict[int, Basis]:
+    """Basis of every grade of loop order g, ascending in r, from
+    `graded_classes`; equal to `build_basis` grade by grade."""
+    return {r: _basis(g, r, variant, c) for r, c in graded_classes(g).items()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .connectivity import connectivity_class
-from .generate import generate
+from .generate import graded_classes
 from .graphs import SimpleGraph, build_graph, graph6_decode, is_connected
 
 
@@ -56,10 +56,8 @@ def nontri_pool(max_loops: int = 6) -> list[bytes]:
     """
     pool = []
     for g in range(3, max_loops + 1):
-        for r in range(4, 2 * (g - 1) + 1):
-            for key in generate(r, g + r - 1):
-                if connectivity_class(graph6_decode(key)) == 2:
-                    pool.append(key)
+        for classes in graded_classes(g).values():
+            pool += [k for k in classes if connectivity_class(graph6_decode(k)) == 2]
     return sorted(pool)
 
 

@@ -1,5 +1,6 @@
 """Canonical forms: oracle comparison against raw permutation brute force."""
 
+import hashlib
 import random
 
 import pytest
@@ -158,3 +159,39 @@ def test_cached_labeling_matches_direct_sign_and_ignores_edge_order():
                 first.canon_key, first.is_zero, first.aut_generators, first.relabel
             )
             assert relabeled(g, perm).adj == warm.canon_graph.adj
+
+
+def _random_cubic(rng: random.Random, n: int):
+    """A random simple cubic graph on n vertices (pairing model, rejection)."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return build_graph(n, sorted(edges))
+
+
+def test_cold_labeling_digest():
+    """Byte-identity guard of the canonizer itself: keys, signs, zero flags,
+    automorphism generators in the order found, and relabelings, computed
+    without the cache on 2,000 seeded graphs (300 random cubic ones on 4-20
+    vertices, the rest on 1-16 vertices; 30% colored).  The digest was
+    computed at commit 4bdc767, before the splitter work-list."""
+    from graphcomplex.canon import _canonical_labeling
+
+    rng = random.Random(8)
+    lines = []
+    for i in range(2000):
+        if i < 300:
+            g = _random_cubic(rng, rng.randrange(4, 21, 2))
+        else:
+            n = rng.randint(1, 16)
+            p = rng.random()
+            g = build_graph(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+        colors = tuple(rng.randint(0, 2) for _ in range(g.n)) if rng.random() < 0.3 else None
+        lines.append(repr(_canonical_labeling.__wrapped__(g.n, g.adj, colors)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "889931a71498de997aabea02ce1f8bfb5f7ebb2e9212b926eb04f571c0b2448d"
+    )

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -29,6 +30,18 @@ def test_dims_tsv_and_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert {"loops": 3, "vertices": 4, "full": 1, "biconnected": 1,
             "triconnected": 1} in doc
+
+
+def test_dims_output_digest(capsys):
+    """Byte-identity guard of `dims` at loop orders 3-6; the digest was
+    computed at commit 4bdc767, where each grade was generated by its own
+    search."""
+    for g in range(3, 7):
+        assert main(["dims", "--loops", str(g)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5daa5aea03af5bab9421b0fa52c40fecc0ed2b9c1c7b6c2b67b608081bafe6e4"
+    )
 
 
 def test_cohomology_output(capsys):

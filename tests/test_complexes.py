@@ -1,5 +1,7 @@
 """Graded differentials and exact cohomology dimensions."""
 
+import hashlib
+
 import pytest
 
 from graphcomplex import (
@@ -77,3 +79,17 @@ def test_rank_nullity_consistency():
         k_edges = 5 + row.vertex_count - 1
         assert row.degree_n0 == -k_edges
         assert row.degree_n2 == k_edges - 2 * (row.vertex_count - 1)
+
+
+def test_cohomology_rows_digest():
+    """Byte-identity guard over every row of every variant at loop orders
+    3-6.  The digest was computed at commit 4bdc767, where each grade was
+    generated by its own search."""
+    rows = []
+    for g in range(3, 7):
+        for variant in VARIANTS:
+            rep = cohomology_dims(g, variant)
+            rows.append(repr((g, variant, rep.rows, sorted(rep.table_n2.items()))))
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "df07fe233f6bbef67dbb4437bac8ad21d179098bbc4927fe0e53f25d194a56dc"
+    )

@@ -1,11 +1,23 @@
 """Isomorph-free generation against the exhaustive labeled oracle."""
 
+import hashlib
 import random
 
 import pytest
 
 from graphcomplex import build_basis, build_graph, canonical_form, graph6_decode
-from graphcomplex.generate import _canonical_deletion_ok, _has_least_degree_pair, generate
+from graphcomplex.complexes import VARIANTS
+from graphcomplex.generate import (
+    ClassKeys,
+    _canonical_deletion_ok,
+    _contraction_classes,
+    _has_least_degree_pair,
+    generate,
+    grade_range,
+    graded_bases,
+    graded_classes,
+)
+from graphcomplex.sampling import nontri_pool
 
 from conftest import k4, k33, oracle_generate, prism
 
@@ -102,3 +114,43 @@ def test_generate_submodule_is_not_shadowed():
     assert isinstance(module, types.ModuleType)
     assert graphcomplex.generate is module
     assert module.generate(4, 6) == generate(4, 6)
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_graded_classes_equal_direct_generation(g):
+    graded = graded_classes(g)
+    assert list(graded) == list(grade_range(g))
+    for r, classes in graded.items():
+        direct = generate(r, g + r - 1)
+        assert classes == direct, (g, r)
+        # zero flags as generation and the contraction pass found them,
+        # against a fresh canonization of each key
+        fresh = {k for k in classes if canonical_form(graph6_decode(k)).is_zero}
+        assert classes.zero == direct.zero == fresh, (g, r)
+
+
+def test_contraction_closure_needs_the_zero_classes():
+    """Contracting only the non-zero classes of the grade above loses
+    classes: at loop order 5, some 6- and 7-vertex classes are
+    contractions of orientation-zero classes only."""
+    graded = graded_classes(5)
+    for r in (6, 7):
+        above = graded[r + 1]
+        assert _contraction_classes(ClassKeys(above - above.zero)) < graded[r], r
+
+
+@pytest.mark.parametrize("g", range(3, 7))
+def test_graded_bases_equal_build_basis(g):
+    for variant in VARIANTS:
+        bases = graded_bases(g, variant)
+        assert bases == {r: build_basis(g, r, variant) for r in grade_range(g)}
+
+
+def test_nontri_pool_keys_unchanged():
+    """Digest of the sorted pool as direct per-grade generation gave it
+    (commit 4bdc767)."""
+    pool = nontri_pool(6)
+    assert len(pool) == 26
+    assert hashlib.sha256(b"\n".join(pool)).hexdigest() == (
+        "5b198a8fbf7e5592c4140979091070b2e2caa479f3aa5d241ecb675a78a5d86c"
+    )
