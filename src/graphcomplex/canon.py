@@ -109,6 +109,33 @@ def _leaf_cert(adj: tuple[int, ...], order: list[int]) -> bytes:
     return bytes(out)
 
 
+def _orbit_roots(n: int, perms: Sequence[Sequence[int]]) -> list[int]:
+    """For each index i < n, the least index of its orbit under the group
+    generated by ``perms``, each a permutation of range(n) given as the
+    list of images."""
+    # union-find whose links all point to a lesser index, so a root is the
+    # least index of its set and one ascending pass resolves every root
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for i, j in enumerate(perm):
+            if i != j:
+                a, b = find(i), find(j)
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return parent
+
+
 class _Search:
     """One canonical-labeling run; collects automorphism generators."""
 
@@ -142,21 +169,9 @@ class _Search:
             self.gens.append(sigma)
 
     def _prefix_orbits(self, prefix: tuple[int, ...]) -> list[int]:
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for gen in self.gens:
-            if all(gen[v] == v for v in prefix):
-                for v in range(self.n):
-                    a, b = find(v), find(gen[v])
-                    if a != b:
-                        parent[a] = b
-        return [find(v) for v in range(self.n)]
+        return _orbit_roots(
+            self.n, [gen for gen in self.gens if all(gen[v] == v for v in prefix)]
+        )
 
     def _explore(
         self,

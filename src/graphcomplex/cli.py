@@ -164,12 +164,20 @@ def _suite_keys(max_loops: int, variant: str) -> list[bytes]:
     return keys
 
 
+def _identity_line(suite: str, rep: dict) -> str:
+    """One report line of an identity suite; a failing one names its first
+    failed sample and the least term that did not cancel."""
+    line = f"{suite}\t{rep['identity']}\t{rep['passed']}/{rep['samples']}\t"
+    if not rep["failures"]:
+        return line + "PASS"
+    sample, (term, coeff) = rep["failures"][0]
+    return line + f"FAIL\t{sample}\t{coeff}*{term}"
+
+
 def _verify_kwz(args) -> tuple[bool, list[str]]:
     keys = _suite_keys(args.max_loops, "full")
     rep = ops.identity_suite("square_zero", keys)
-    ok = not rep["failures"]
-    return ok, [f"kwz\tsquare_zero\t{rep['passed']}/{rep['samples']}\t"
-                f"{'PASS' if ok else rep['failures'][:1]}"]
+    return not rep["failures"], [_identity_line("kwz", rep)]
 
 
 def _verify_zivkovic(args) -> tuple[bool, list[str]]:
@@ -182,10 +190,8 @@ def _verify_zivkovic(args) -> tuple[bool, list[str]]:
         ("Dbar_squared", bikeys), ("nabla_Dbar", bikeys),
     ]:
         rep = ops.identity_suite(name, sample)
-        good = not rep["failures"]
-        ok &= good
-        lines.append(f"zivkovic\t{name}\t{rep['passed']}/{rep['samples']}\t"
-                     f"{'PASS' if good else rep['failures'][:1]}")
+        ok &= not rep["failures"]
+        lines.append(_identity_line("zivkovic", rep))
     return ok, lines
 
 
@@ -195,10 +201,8 @@ def _verify_deltak(args) -> tuple[bool, list[str]]:
     ok = True
     for name in ("delta3", "delta4"):
         rep = ops.identity_suite(name, bikeys)
-        good = not rep["failures"]
-        ok &= good
-        lines.append(f"deltak\t{name}\t{rep['passed']}/{rep['samples']}\t"
-                     f"{'PASS' if good else rep['failures'][:1]}")
+        ok &= not rep["failures"]
+        lines.append(_identity_line("deltak", rep))
     return ok, lines
 
 

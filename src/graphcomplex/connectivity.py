@@ -16,7 +16,13 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import GraphError, SimpleGraph, build_graph, is_connected
+from .graphs import (
+    GraphError,
+    SimpleGraph,
+    build_graph,
+    is_connected,
+    mask_components,
+)
 
 # internal part edge: (u, v, tag); tag = ("real", (gu, gv)) | ("virtual", vid)
 _PartEdge = tuple[int, int, tuple]
@@ -152,54 +158,24 @@ def separation_pairs(g: SimpleGraph) -> list[tuple[int, int]]:
 # decomposition internals
 
 
-def _part_vertices(edges: list[_PartEdge]) -> list[int]:
-    vs: set[int] = set()
-    for u, v, _ in edges:
-        vs.add(u)
-        vs.add(v)
-    return sorted(vs)
-
-
-def _part_components(edges: list[_PartEdge], removed: set[int]) -> list[set[int]]:
-    """Components of the part's vertex set after deleting `removed`."""
-    adj: dict[int, set[int]] = {}
-    for u, v, _ in edges:
-        if u in removed or v in removed:
-            continue
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    verts = set(_part_vertices(edges)) - removed
-    comps = []
-    unseen = set(verts)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-        unseen -= comp
-    return comps
-
-
-def _is_cycle(edges: list[_PartEdge]) -> bool:
-    deg: dict[int, int] = {}
-    for u, v, _ in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    return len(_part_components(edges, set())) == 1
+def _vertices(mask: int) -> list[int]:
+    """The vertices in a bitmask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def _decompose(
-    edges: list[_PartEdge], first: int, next_vid: list[int], out_nodes: list[dict]
+    edges: list[_PartEdge],
+    verts: int,
+    first: int,
+    next_vid: list[int],
+    out_nodes: list[dict],
 ) -> None:
-    """Split the part `edges` into S, P and R skeleta, appended to out_nodes.
+    """Split the part `edges`, on the vertex bitmask `verts`, into S, P and
+    R skeleta, appended to out_nodes.
 
     The part has no separation pair {a, b}, a < b, with a < first, so the
     scan for the least pair starts at `first`.  A split component at the
@@ -211,10 +187,8 @@ def _decompose(
     that found (u, v).  The part left after splitting off a bond has the
     same vertices and adjacency, hence the same pairs.
     """
-    verts = _part_vertices(edges)
-
-    if len(verts) == 2:
-        out_nodes.append({"kind": "P", "edges": list(edges)})
+    if verts.bit_count() == 2:
+        out_nodes.append({"kind": "P", "edges": list(edges), "verts": verts})
         return
 
     # split off one maximal parallel class at a time
@@ -227,58 +201,62 @@ def _decompose(
         vid = next_vid[0]
         next_vid[0] += 1
         bond = by_pair[(u, v)] + [(u, v, ("virtual", vid))]
-        out_nodes.append({"kind": "P", "edges": bond})
+        out_nodes.append({"kind": "P", "edges": bond, "verts": 1 << u | 1 << v})
         rest = [e for e in edges if (e[0], e[1]) != (u, v)]
         rest.append((u, v, ("virtual", vid)))
-        _decompose(rest, first, next_vid, out_nodes)
+        _decompose(rest, verts, first, next_vid, out_nodes)
         return
 
-    if _is_cycle(edges):
-        out_nodes.append({"kind": "S", "edges": list(edges)})
-        return
-
-    # simple part: the least separation pair (u, v), u < v, is the first u
-    # such that the part minus u has a cut vertex v > u, with the least v
-    adj = [0] * (verts[-1] + 1)
+    # from here on the part is simple, and connected as every part is
+    adj = [0] * verts.bit_length()
     for a, b, _ in edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    keep = sum(1 << x for x in verts)
+    part = _vertices(verts)
+    if all(adj[x].bit_count() == 2 for x in part):
+        out_nodes.append({"kind": "S", "edges": list(edges), "verts": verts})
+        return
+
+    # the least separation pair (u, v), u < v, is the first u such that the
+    # part minus u has a cut vertex v > u, with the least v
     split_pair = None
-    for u in verts:
+    for u in part:
         if u < first:
             continue
-        later = _cut_vertices(adj, keep ^ (1 << u)) >> (u + 1)
+        later = _cut_vertices(adj, verts ^ (1 << u)) >> (u + 1)
         if later:
             split_pair = (u, u + (later & -later).bit_length())
             break
     if split_pair is None:
-        out_nodes.append({"kind": "R", "edges": list(edges)})
+        out_nodes.append({"kind": "R", "edges": list(edges), "verts": verts})
         return
 
     u, v = split_pair
-    comps = _part_components(edges, {u, v})
+    pair = 1 << u | 1 << v
     direct = [e for e in edges if (e[0], e[1]) == (u, v)]
-    classes: list[list[_PartEdge]] = []
-    for comp in comps:
-        cls = [e for e in edges if (e[0] in comp or e[1] in comp)]
-        classes.append(cls)
+    # the edges of each component of the part minus {u, v}, by least vertex
+    classes: list[tuple[list[_PartEdge], int]] = []
+    for comp in mask_components(adj, verts & ~pair):
+        cls = [e for e in edges if (comp >> e[0] | comp >> e[1]) & 1]
+        classes.append((cls, comp | pair))
     n_classes = len(classes) + (1 if direct else 0)
 
     if n_classes == 2:
         vid = next_vid[0]
         next_vid[0] += 1
-        for cls in classes:
-            _decompose(cls + [(u, v, ("virtual", vid))], u, next_vid, out_nodes)
+        for cls, cls_verts in classes:
+            _decompose(
+                cls + [(u, v, ("virtual", vid))], cls_verts, u, next_vid, out_nodes
+            )
         return
 
     hub: list[_PartEdge] = list(direct)
-    for cls in classes:
+    for cls, cls_verts in classes:
         vid = next_vid[0]
         next_vid[0] += 1
         hub.append((u, v, ("virtual", vid)))
-        _decompose(cls + [(u, v, ("virtual", vid))], u, next_vid, out_nodes)
-    out_nodes.append({"kind": "P", "edges": hub})
+        _decompose(cls + [(u, v, ("virtual", vid))], cls_verts, u, next_vid, out_nodes)
+    out_nodes.append({"kind": "P", "edges": hub, "verts": pair})
 
 
 def _fuse(nodes: list[dict]) -> list[dict]:
@@ -302,7 +280,11 @@ def _fuse(nodes: list[dict]) -> list[dict]:
             if a != b and nodes[a]["kind"] == nodes[b]["kind"] and nodes[a]["kind"] in "SP":
                 keep = [e for e in nodes[a]["edges"] if e[2] != ("virtual", vid)]
                 keep += [e for e in nodes[b]["edges"] if e[2] != ("virtual", vid)]
-                new = {"kind": nodes[a]["kind"], "edges": keep}
+                new = {
+                    "kind": nodes[a]["kind"],
+                    "edges": keep,
+                    "verts": nodes[a]["verts"] | nodes[b]["verts"],
+                }
                 nodes = [n for i, n in enumerate(nodes) if i not in (a, b)] + [new]
                 merged = True
                 break
@@ -321,14 +303,14 @@ def spqr(g: SimpleGraph) -> SpqrTree:
 
     edges: list[_PartEdge] = [(u, v, ("real", (u, v))) for u, v in g.edges]
     raw: list[dict] = []
-    _decompose(edges, 0, [0], raw)
+    _decompose(edges, (1 << g.n) - 1, 0, [0], raw)
     raw = _fuse(raw)
 
     # deterministic node order
     def node_key(node: dict) -> tuple:
         reals = sorted(e[:2] for e in node["edges"] if e[2][0] == "real")
         virts = sorted(e[:2] for e in node["edges"] if e[2][0] == "virtual")
-        return (node["kind"], sorted(_part_vertices(node["edges"])), reals, virts)
+        return (node["kind"], _vertices(node["verts"]), reals, virts)
 
     raw.sort(key=node_key)
 
@@ -355,7 +337,7 @@ def spqr(g: SimpleGraph) -> SpqrTree:
             SpqrNode(
                 id=i,
                 kind=node["kind"],
-                vertices=frozenset(_part_vertices(node["edges"])),
+                vertices=frozenset(_vertices(node["verts"])),
                 real_edges=reals,
                 virtual_edges=tuple(virtuals),
             )

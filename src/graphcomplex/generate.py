@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .canon import CanonicalClass, canonical_form
+from .canon import CanonicalClass, _orbit_roots, canonical_form
 from .connectivity import connectivity_class
 from .graphs import (
     NonSimple,
@@ -68,38 +68,30 @@ def _feasible(g: SimpleGraph, k: int) -> bool:
     return True
 
 
+def _edge_orbit_roots(
+    items: Sequence[tuple[int, int]], gens: tuple[tuple[int, ...], ...]
+) -> list[int]:
+    """For each vertex pair in `items`, the least index of its orbit under
+    the given vertex permutations, which map `items` onto itself."""
+    index = {e: i for i, e in enumerate(items)}
+    perms = []
+    for g in gens:
+        perm = []
+        for u, v in items:
+            u, v = g[u], g[v]
+            perm.append(index[(u, v) if u < v else (v, u)])
+        perms.append(perm)
+    return _orbit_roots(len(items), perms)
+
+
 def _edge_orbit_reps(
     items: list[tuple[int, int]], gens: tuple[tuple[int, ...], ...]
 ) -> list[tuple[int, int]]:
     """One representative per orbit of vertex pairs under the given perms."""
     if not gens:
         return items
-    index = {e: i for i, e in enumerate(items)}
-    parent = list(range(len(items)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for e, i in index.items():
-            u, v = g[e[0]], g[e[1]]
-            img = (u, v) if u < v else (v, u)
-            j = index.get(img)
-            if j is not None:
-                a, b = find(i), find(j)
-                if a != b:
-                    parent[a] = b
-    reps = []
-    seen: set[int] = set()
-    for i, e in enumerate(items):
-        root = find(i)
-        if root not in seen:
-            seen.add(root)
-            reps.append(e)
-    return reps
+    roots = _edge_orbit_roots(items, gens)
+    return [e for i, e in enumerate(items) if roots[i] == i]
 
 
 def _degree_pair(deg: list[int], u: int, v: int) -> tuple[int, int]:
@@ -142,25 +134,9 @@ def _canonical_deletion_ok(
         return True
     if not cf.aut_generators:
         return False
-    # same orbit test: union-find over the child's edges
-    index = {e: i for i, e in enumerate(child.edges)}
-    parent = list(range(len(child.edges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in cf.aut_generators:
-        for e, i in index.items():
-            u, v = g[e[0]], g[e[1]]
-            img = (u, v) if u < v else (v, u)
-            j = index[img]
-            a, b = find(i), find(j)
-            if a != b:
-                parent[a] = b
-    return find(index[best_edge]) == find(index[new_edge])
+    edges = child.edges
+    roots = _edge_orbit_roots(edges, cf.aut_generators)
+    return roots[edges.index(best_edge)] == roots[edges.index(new_edge)]
 
 
 @lru_cache(maxsize=256)

@@ -155,21 +155,25 @@ def grading_of(g: SimpleGraph) -> Grading:
 
 def component_masks(g: SimpleGraph) -> list[int]:
     """Vertex bitsets of the connected components, by least vertex."""
-    unseen = (1 << g.n) - 1
+    return mask_components(g.adj, (1 << g.n) - 1)
+
+
+def mask_components(adj: Sequence[int], keep: int) -> list[int]:
+    """Vertex bitsets of the components of the subgraph induced on the
+    bitset `keep`, by least vertex; ``adj[v]`` is v's neighbor bitset."""
+    unseen = keep
     masks = []
     while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
+        comp = frontier = unseen & -unseen
         while frontier:
             nxt = 0
             m = frontier
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
-            comp |= nxt
+                nxt |= adj[v]
+            frontier = nxt & unseen & ~comp
+            comp |= frontier
         masks.append(comp)
         unseen &= ~comp
     return masks

@@ -21,17 +21,29 @@ With these conventions the operator identities hold in the form
 which is the bracket structure forced by the telescoping
   delta_k = (k-1)/k! ad_Dbar^(k-1)(nabla),
 since that formula requires ad_Dbar(delta0) = -nabla.
+
+D is summed over the orbits of its moves under the automorphism group of
+the class (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998).  A move is a vertex v with a reattachment {edge position: new
+endpoint}.  The term of a move's image under an automorphism is the move's
+term relabeled, with its edges reordered by the automorphism's edge
+permutation: the same class, with that permutation's sign.  A non-zero
+class has only even automorphisms, so one move per orbit is built and
+canonized, weighted by the orbit size; for a zero class the terms cancel
+and its image is 0.  delta0 and nabla make few terms per class and sum
+every move.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Callable, Iterator, Sequence
 
-from .canon import aut_group_order, canonical_form
+from .canon import _orbit_roots, aut_group_order, canonical_form
 from .formal import FormalSum
 from .graphs import (
     NonSimple,
@@ -144,49 +156,79 @@ def apply_nabla(x: FormalSum) -> FormalSum:
     return _extend(_nabla_image, x)
 
 
-def _reattachments(g: SimpleGraph, v: int):
-    """All legal reassignments of v's dangling edge-ends after deleting v.
-
-    Yields full edge lists (original positions preserved).  A dangling end
-    of edge (v, w) may go to any surviving vertex t with t != w, (t, w)
-    not an existing edge, and no two reassigned ends forming equal pairs.
+def _reattachments(g: SimpleGraph, v: int, incident: list[tuple[int, int]]):
+    """All legal new endpoints of v's dangling edge-ends after deleting v,
+    as tuples aligned with `incident`, the (edge position, other endpoint)
+    pairs of v's edges.  The end of edge (v, w) may go to any surviving
+    vertex t with t != w, (t, w) not an existing edge, and no two
+    reassigned ends forming equal pairs.
     """
-    incident = [(i, (e[0] if e[1] == v else e[1])) for i, e in enumerate(g.edges) if v in e]
     survivors = [u for u in range(g.n) if u != v]
     fixed_edges = {e for e in g.edges if v not in e}
+    chosen: list[int] = []
 
-    def rec(idx: int, chosen: dict[int, int], used: set[tuple[int, int]]):
+    def rec(idx: int, used: set[tuple[int, int]]):
         if idx == len(incident):
-            yield dict(chosen)
+            yield tuple(chosen)
             return
-        pos, w = incident[idx]
+        w = incident[idx][1]
         for t in survivors:
             if t == w:
                 continue
             pair = (t, w) if t < w else (w, t)
             if pair in fixed_edges or pair in used:
                 continue
-            chosen[pos] = t
+            chosen.append(t)
             used.add(pair)
-            yield from rec(idx + 1, chosen, used)
+            yield from rec(idx + 1, used)
             used.discard(pair)
-            del chosen[pos]
+            chosen.pop()
 
-    yield from rec(0, {}, set())
+    yield from rec(0, set())
 
 
 def _vertex_removals(g: SimpleGraph) -> Terms:
-    for v in range(g.n):
-        weight = Fraction((-1) ** (g.degree(v) + 1), 2)
+    """The terms of D on g: one move per orbit of moves under Aut(g),
+    weighted by the orbit size, and none for a zero class (module
+    docstring).  A generator sigma that permutes the edge positions by pi
+    sends the move (v, {p: t}) to (sigma v, {pi(p): sigma t})."""
+    cf = canonical_form(g)
+    if cf.is_zero:
+        return
+    incident = [
+        [(i, b if a == v else a) for i, (a, b) in enumerate(g.edges) if v in (a, b)]
+        for v in range(g.n)
+    ]
+    # a move (v, targets) gives the ends of incident[v] the new endpoints
+    # `targets`, in ascending edge position
+    moves = [(v, ts) for v in range(g.n) for ts in _reattachments(g, v, incident[v])]
+    index = {move: i for i, move in enumerate(moves)}
+    position = {e: i for i, e in enumerate(g.edges)}
+    perms = []
+    for sigma in cf.aut_generators:
+        pi = []
+        for u, w in g.edges:
+            a, b = sigma[u], sigma[w]
+            pi.append(position[(a, b) if a < b else (b, a)])
+        # order[v]: v's ends in the ascending positions of their images,
+        # which are the ends of sigma v
+        order = [
+            sorted(range(len(ends)), key=lambda k: pi[ends[k][0]]) for ends in incident
+        ]
+        perms.append(
+            [index[(sigma[v], tuple([sigma[ts[k]] for k in order[v]]))] for v, ts in moves]
+        )
+    roots = _orbit_roots(len(moves), perms)
+    sizes = Counter(roots)
+    for i, (v, ts) in enumerate(moves):
+        if roots[i] != i:
+            continue
+        edges = list(g.edges)
+        for (p, w), t in zip(incident[v], ts):
+            edges[p] = (t, w)
         relabel = [u if u < v else u - 1 for u in range(g.n)]
-        for assignment in _reattachments(g, v):
-            edges = []
-            for i, (a, b) in enumerate(g.edges):
-                if i in assignment:
-                    w = b if a == v else a
-                    a, b = assignment[i], w
-                edges.append((relabel[a], relabel[b]))
-            yield build_graph(g.n - 1, edges), weight
+        weight = Fraction((-1) ** (len(ts) + 1) * sizes[i], 2)
+        yield build_graph(g.n - 1, [(relabel[a], relabel[b]) for a, b in edges]), weight
 
 
 _D_image = _class_image(_vertex_removals)
@@ -277,7 +319,10 @@ IDENTITIES: dict[str, Callable[[FormalSum], FormalSum]] = {
 
 
 def identity_suite(name: str, sample_keys: Sequence[bytes]) -> dict:
-    """Evaluate a named identity (must vanish) on each sample class."""
+    """Evaluate a named identity (must vanish) on each sample class.
+
+    Each failure is a minimal witness (sample graph6, (least key of the
+    non-zero result, its coefficient))."""
     check = IDENTITIES[name]
     failures = []
     for key in sample_keys:
@@ -285,7 +330,8 @@ def identity_suite(name: str, sample_keys: Sequence[bytes]) -> dict:
         x.add_term(key, 1)
         result = check(x)
         if not result.is_zero():
-            failures.append((key.decode("ascii", "replace"), repr(result)))
+            term, coeff = next(iter(result))
+            failures.append((key.decode("ascii", "replace"), (term.decode(), coeff)))
     return {
         "identity": name,
         "samples": len(sample_keys),

@@ -3,17 +3,20 @@
 The oracles here deliberately avoid the library's own canonical-labeling
 and connectivity shortcuts wherever a check is meant to be independent:
 automorphisms and isomorphism classes on small graphs are recomputed from
-raw permutations, separation pairs by deleting every vertex pair.
+raw permutations, separation pairs by deleting every vertex pair, and the
+vertex removal D by summing every move without the automorphism orbits.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
 from graphcomplex import (
+    FormalSum,
     SimpleGraph,
     build_graph,
     canonical_form,
@@ -158,6 +161,29 @@ def oracle_connectivity_class(g: SimpleGraph) -> int:
     if any(_splits(g, {v}) for v in range(g.n)):
         return 1
     return 2 if oracle_separation_pairs(g) else 3
+
+
+def unreduced_D(g: SimpleGraph) -> FormalSum:
+    """D of the concrete graph g, in its own labeling and edge order, summed
+    over every move with no automorphism reduction: for each vertex v and
+    each way to give v's dangling edge-ends new endpoints among the other
+    vertices such that the result stays simple, the graph with v deleted
+    (edge positions kept) and the weight (-1)^(deg v + 1) / 2."""
+    out = FormalSum()
+    for v in range(g.n):
+        ends = [(i, b if a == v else a) for i, (a, b) in enumerate(g.edges) if v in (a, b)]
+        weight = Fraction((-1) ** (len(ends) + 1), 2)
+        others = [u for u in range(g.n) if u != v]
+        label = {u: i for i, u in enumerate(others)}
+        for targets in product(others, repeat=len(ends)):
+            edges = list(g.edges)
+            for (i, w), t in zip(ends, targets):
+                edges[i] = (t, w)
+            pairs = {frozenset(e) for e in edges}
+            if len(pairs) < len(edges) or any(len(p) < 2 for p in pairs):
+                continue
+            out.add_graph(build_graph(g.n - 1, [(label[a], label[b]) for a, b in edges]), weight)
+    return out
 
 
 # triconnected pieces of glued graphs

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
-from graphcomplex import canonical_form, graph6_encode
+import graphcomplex.operators as ops
+from graphcomplex import FormalSum, canonical_form, graph6_encode
 from graphcomplex.cli import main
+from graphcomplex.generate import graded_bases
 
 from conftest import fig1_graph, k4
 
@@ -126,3 +128,30 @@ def test_threads_option_is_gone(capsys):
         main(["dims", "--loops", "3", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_failed_identity_prints_witness(monkeypatch, capsys):
+    """A failing identity exits 1 and names its first failed sample and the
+    least term of the non-zero result."""
+
+    def flipped(x):  # the sign of the nabla term is wrong
+        return (
+            ops.apply_delta0(ops.apply_D(x)) - ops.apply_D(ops.apply_delta0(x)) + ops.apply_nabla(x)
+        )
+
+    monkeypatch.setitem(ops.IDENTITIES, "delta0_D", flipped)
+    assert main(["verify", "zivkovic", "--max-loops", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    keys = [k for g in (3, 4, 5) for b in graded_bases(g).values() for k in b.keys]
+    nablas = []
+    for key in keys:
+        x = FormalSum()
+        x.add_term(key, 1)
+        nablas.append((key, ops.apply_nabla(x)))
+    failed = [(key, y) for key, y in nablas if not y.is_zero()]
+    term, coeff = min(failed[0][1].scaled(2).terms.items())
+    assert lines[0] == (
+        f"zivkovic\tdelta0_D\t{len(keys) - len(failed)}/{len(keys)}\tFAIL\t"
+        f"{failed[0][0].decode()}\t{coeff}*{term.decode()}"
+    )
+    assert all(line.endswith("\tPASS") for line in lines[1:])

@@ -21,14 +21,17 @@ from graphcomplex import (
     differential_matrix,
     grade_range,
     graph6_decode,
+    graph6_encode,
     identity_suite,
     pairing,
     singleton,
 )
+import graphcomplex.operators as ops
+from graphcomplex.generate import generate
 from graphcomplex.graphs import component_masks, grading_of
 from graphcomplex.operators import IDENTITIES, aut_order
 
-from conftest import k4, k5, relabeled, wheel
+from conftest import k4, k5, k33, prism, relabeled, unreduced_D, wheel
 
 OPERATORS = (apply_d, apply_delta0, apply_nabla, apply_D, apply_Dbar)
 
@@ -282,3 +285,64 @@ def test_mutating_an_image_does_not_change_later_calls():
             assert op(x.scaled(3)) == FormalSum(snapshot).scaled(3)
             mutated += 1
         assert mutated, op.__name__
+
+
+# ---------------------------------------------------------------------------
+# D sums one term per automorphism orbit of moves, weighted by orbit size
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [k4(), k33(), prism(), wheel(4), wheel(5), wheel(6)],
+    ids=["K4", "K33", "prism", "W4", "W5", "W6"],
+)
+def test_D_matches_unreduced_sum_on_relabelings(graph):
+    rng = random.Random(29)
+    for _ in range(3):
+        g = random_labeling(graph, rng)
+        assert apply_D(singleton(g)) == unreduced_D(g)
+
+
+def operator_round_keys() -> list[bytes]:
+    """Inputs like those of one `operators` benchmark round: every non-zero
+    biconnected class with 7 vertices and 11 or 12 edges, as the graph6 of
+    a random labeling."""
+    rng = random.Random(31)
+    return [
+        graph6_encode(random_labeling(graph6_decode(k), rng))
+        for g in (5, 6)
+        for k in build_basis(g, 7, "biconnected").keys
+    ]
+
+
+def test_D_matches_unreduced_sum_on_operator_round(monkeypatch):
+    seen: list[bytes] = []
+    image = ops._D_image
+
+    def recording(key):
+        if key not in seen:
+            seen.append(key)
+        return image(key)
+
+    monkeypatch.setattr(ops, "_D_image", recording)
+    keys = operator_round_keys()
+    assert len(keys) == 6
+    for name in IDENTITIES:
+        identity_suite(name, keys)
+    assert len(seen) == 30
+    for key in seen:
+        x = FormalSum()
+        x.add_term(key, 1)
+        assert apply_D(x) == unreduced_D(graph6_decode(key)), key
+
+
+def test_D_of_zero_class_is_zero():
+    """A zero class has image 0, though some of its moves give non-zero
+    classes."""
+    zero = sorted(generate(7, 11).zero)
+    assert zero
+    for key in zero:
+        x = FormalSum()
+        x.add_term(key, 1)
+        assert apply_D(x).is_zero()
+        assert unreduced_D(graph6_decode(key)).is_zero()
