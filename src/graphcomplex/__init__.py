@@ -47,7 +47,7 @@ from .homotopy import (
     n_value,
     to_labeled,
 )
-from .matrixops import SparseRationalMatrix, exact_rank, fast_rank
+from .matrixops import SparseRationalMatrix, exact_rank
 from .operators import (
     apply_D,
     apply_Dbar,

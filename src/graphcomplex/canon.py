@@ -2,8 +2,11 @@
 
 Individualization-refinement search over color-refined partitions, with
 pruning by discovered automorphisms (orbit pruning against the prefix
-stabilizer) and by a node-invariant trace.  The canonical representative
-is the relabeling maximizing the leaf key (trace, adjacency certificate).
+stabilizer) and by a node-invariant trace.  A cell of a partition is a
+vertex bitmask.  The token of a discrete partition holds the relabeled
+adjacency matrix, one integer per row, so the trace alone orders the
+leaves: the canonical representative is the relabeling with the greatest
+trace, and two leaves with equal traces differ by an automorphism.
 
 Supports an optional initial vertex coloring; isomorphisms are then
 required to preserve colors.  This is used for leaf-labeled graphs.
@@ -15,13 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .graphs import (
-    SimpleGraph,
-    build_graph,
-    graph6_decode,
-    graph6_encode,
-    permutation_sign,
-)
+from .graphs import SimpleGraph, graph6_decode, graph6_from_rows, permutation_sign
 
 
 @dataclass(frozen=True)
@@ -47,66 +44,71 @@ class CanonicalClass:
 
 
 def _refine(
-    adj: tuple[int, ...], cells: list[list[int]], clean: list[bool]
-) -> list[list[int]]:
+    adj: tuple[int, ...], cells: list[int], clean: list[bool]
+) -> list[int]:
     """Equitable refinement; cell order is isomorphism-invariant.
 
-    ``clean[i]`` marks a cell that splits no cell, and stays true when other
-    cells split, since a part of a stable cell is stable.  Each step splits
-    the least cell that the least splitting cell splits, which is the order
-    a full rescan after every split would give.  Both lists are updated in
-    place."""
+    A cell is a vertex bitmask, and the parts of a split cell come in
+    ascending order of their vertices' neighbour counts in the splitter.
+    Each step splits the least cell that the least splitting cell splits,
+    which is the order a full rescan after every split would give.
+    ``clean[i]`` marks a cell that splits no cell by the time it is the
+    least unmarked one: a cell found to split nothing stays so, since a part
+    of a stable cell is stable; and the last part of a marked cell splits
+    nothing once the parts before it do, since its counts are the cell's
+    minus theirs, so it keeps the mark.  Both lists are updated in place."""
     si = 0
-    while si < len(cells):
-        if clean[si]:
-            si += 1
-            continue
-        s_mask = 0
-        for v in cells[si]:
-            s_mask |= 1 << v
-        for ci, cell in enumerate(cells):
-            if len(cell) == 1:
+    while True:
+        try:
+            si = clean.index(False, si)
+        except ValueError:
+            return cells
+        s_mask = cells[si]
+        if s_mask & (s_mask - 1):
+            reach = 0
+            m = s_mask
+            while m:
+                low = m & -m
+                reach |= adj[low.bit_length() - 1]
+                m ^= low
+            for ci, cm in enumerate(cells):
+                # a cell that misses the splitter's neighbourhood has all
+                # counts 0, and so has a singleton cell
+                if not cm & reach or not cm & (cm - 1):
+                    continue
+                groups: dict[int, int] = {}
+                m = cm
+                while m:
+                    low = m & -m
+                    c = (adj[low.bit_length() - 1] & s_mask).bit_count()
+                    groups[c] = groups.get(c, 0) | low
+                    m ^= low
+                if len(groups) > 1:
+                    parts = [groups[c] for c in sorted(groups)]
+                    break
+            else:
+                clean[si] = True
                 continue
-            counts = [(adj[v] & s_mask).bit_count() for v in cell]
-            if counts.count(counts[0]) == len(counts):
-                continue
-            groups: dict[int, list[int]] = {}
-            for v, c in zip(cell, counts):
-                groups.setdefault(c, []).append(v)
-            cells[ci : ci + 1] = [groups[c] for c in sorted(groups)]
-            clean[ci : ci + 1] = [False] * len(groups)
-            si = min(si, ci)
-            break
         else:
-            clean[si] = True
-            si += 1
-    return cells
+            reach = adj[s_mask.bit_length() - 1]
+            for ci, cm in enumerate(cells):
+                hit = cm & reach
+                if hit and hit != cm:
+                    parts = [cm ^ hit, hit]
+                    break
+            else:
+                clean[si] = True
+                continue
+        cells[ci : ci + 1] = parts
+        clean[ci : ci + 1] = [False] * (len(parts) - 1) + [clean[ci]]
+        si = min(si, ci)
 
 
-def _node_token(adj: tuple[int, ...], cells: list[list[int]]) -> tuple:
+def _node_token(adj: tuple[int, ...], cells: list[int]) -> tuple:
     """Isomorphism-invariant node descriptor: cell sizes + quotient counts."""
-    masks = [sum(1 << v for v in cell) for cell in cells]
-    sizes = tuple([len(c) for c in cells])
-    quot = tuple([(adj[cell[0]] & m).bit_count() for cell in cells for m in masks])
-    return (sizes, quot)
-
-
-def _leaf_cert(adj: tuple[int, ...], order: list[int]) -> bytes:
-    n = len(order)
-    out = bytearray()
-    acc = 0
-    nb = 0
-    for j in range(1, n):
-        vj = order[j]
-        for i in range(j):
-            acc = acc << 1 | (adj[order[i]] >> vj & 1)
-            nb += 1
-            if nb == 8:
-                out.append(acc)
-                acc = nb = 0
-    if nb:
-        out.append(acc << (8 - nb))
-    return bytes(out)
+    sizes = tuple([c.bit_count() for c in cells])
+    reps = [adj[(c & -c).bit_length() - 1] for c in cells]
+    return (sizes, tuple([(a & m).bit_count() for a in reps for m in cells]))
 
 
 def _orbit_roots(n: int, perms: Sequence[Sequence[int]]) -> list[int]:
@@ -143,29 +145,55 @@ class _Search:
         self.n = n
         self.adj = adj
         self.colors = colors
+        self.nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
+        self.leaf_sizes = (1,) * n
+        self.identity = tuple(range(n))
         self.gens: list[tuple[int, ...]] = []
         self.cur_trace: list[tuple] = []
-        self.first: tuple[tuple, bytes, list[int]] | None = None  # trace, cert, perm
-        self.best: tuple[tuple, bytes, list[int]] | None = None
+        # leaves as (trace, relabeling vertex -> position, its inverse)
+        self.first: tuple[tuple, list[int], list[int]] | None = None
+        self.best: tuple[tuple, list[int], list[int]] | None = None
 
-    def run(self) -> tuple[list[int], list[tuple[int, ...]]]:
-        initial: dict[int, list[int]] = {}
+    def run(
+        self,
+    ) -> tuple[tuple[int, ...], list[int], list[int], list[tuple[int, ...]]]:
+        """The rows of the canonical adjacency matrix (see ``_leaf``), the
+        canonical relabeling (vertex -> position), its inverse and the
+        automorphism generators found."""
+        initial: dict[int, int] = {}
         for v in range(self.n):
-            initial.setdefault(self.colors[v], []).append(v)
+            initial[self.colors[v]] = initial.get(self.colors[v], 0) | 1 << v
         cells = [initial[c] for c in sorted(initial)]
         self._explore(cells, [False] * len(cells), (), 0, True, "eq")
         assert self.best is not None
-        return self.best[2], self.gens
+        trace, perm, order = self.best
+        return trace[-1][1], perm, order, self.gens
 
-    def _record_aut(self, perm_a: Sequence[int], perm_b: Sequence[int]) -> None:
-        # both map vertex -> canonical position; equal certificates mean the
-        # two relabelings produce the same graph, so the quotient is an
-        # automorphism
-        inv_b = [0] * self.n
-        for v, p in enumerate(perm_b):
-            inv_b[p] = v
-        sigma = tuple(inv_b[p] for p in perm_a)
-        if any(sigma[v] != v for v in range(self.n)) and sigma not in self.gens:
+    def _leaf(self, cells: list[int]) -> tuple[list[int], list[int], tuple]:
+        """The relabeling of a discrete partition (vertex -> position), its
+        inverse, and its token, whose second part is the relabeled adjacency
+        matrix as one integer per row, column 0 the most significant bit;
+        the rows compare as the matrix's entries in row-major order would."""
+        order = [c.bit_length() - 1 for c in cells]
+        perm = [0] * self.n
+        for pos, v in enumerate(order):
+            perm[v] = pos
+        top = 1 << self.n >> 1
+        bit = [top >> p for p in perm]
+        rows = []
+        for v in order:
+            r = 0
+            for u in self.nbrs[v]:
+                r |= bit[u]
+            rows.append(r)
+        return perm, order, (self.leaf_sizes, tuple(rows))
+
+    def _record_aut(self, perm_a: Sequence[int], order_b: Sequence[int]) -> None:
+        # leaf a's relabeling followed by the inverse of leaf b's; equal leaf
+        # tokens mean the two relabelings produce the same graph, so this is
+        # an automorphism
+        sigma = tuple([order_b[p] for p in perm_a])
+        if sigma != self.identity and sigma not in self.gens:
             self.gens.append(sigma)
 
     def _prefix_orbits(self, prefix: tuple[int, ...]) -> list[int]:
@@ -175,7 +203,7 @@ class _Search:
 
     def _explore(
         self,
-        cells: list[list[int]],
+        cells: list[int],
         clean: list[bool],
         prefix: tuple[int, ...],
         depth: int,
@@ -184,7 +212,11 @@ class _Search:
     ) -> bool:
         """Returns True if self.best was (re)placed within this subtree."""
         cells = _refine(self.adj, cells, clean)
-        token = _node_token(self.adj, cells)
+        is_leaf = len(cells) == self.n
+        if is_leaf:
+            perm, order, token = self._leaf(cells)
+        else:
+            token = _node_token(self.adj, cells)
         del self.cur_trace[depth:]
         self.cur_trace.append(token)
 
@@ -202,43 +234,35 @@ class _Search:
         if cmp_best == "lt" and not (eq_first or self.first is None):
             return False
 
-        target_idx = -1
-        for i, c in enumerate(cells):
-            if len(c) > 1:
-                target_idx = i
-                break
-
-        if target_idx < 0:
-            # leaf
-            perm = [0] * self.n
-            order = [c[0] for c in cells]
-            for pos, v in enumerate(order):
-                perm[v] = pos
-            cert = _leaf_cert(self.adj, order)
+        if is_leaf:
+            # the leaf token holds the whole relabeled graph, so a leaf whose
+            # trace equals another's gives the same graph
             trace = tuple(self.cur_trace)
-
             if self.first is None:
-                self.first = (trace, cert, perm)
-            elif eq_first and cert == self.first[1]:
+                self.first = (trace, perm, order)
+            elif eq_first:
                 self._record_aut(perm, self.first[2])
 
             if cmp_best == "gt" or self.best is None:
-                self.best = (trace, cert, perm)
+                self.best = (trace, perm, order)
                 return True
-            if cmp_best == "eq":
-                if cert > self.best[1]:
-                    self.best = (trace, cert, perm)
-                    return True
-                if cert == self.best[1] and perm != self.best[2]:
-                    self._record_aut(perm, self.best[2])
+            if cmp_best == "eq" and perm != self.best[1]:
+                self._record_aut(perm, self.best[2])
             return False
 
+        target_idx = 0
+        while not cells[target_idx] & (cells[target_idx] - 1):
+            target_idx += 1
         target = cells[target_idx]
         replaced = False
         processed: list[int] = []
         n_gens_seen = -1
         orbit_id: list[int] = []
-        for v in target:
+        m = target
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
             if processed:
                 if len(self.gens) != n_gens_seen:
                     orbit_id = self._prefix_orbits(prefix)
@@ -246,11 +270,12 @@ class _Search:
                 if any(orbit_id[v] == orbit_id[u] for u in processed):
                     continue
             processed.append(v)
-            # a refined partition is all clean; only [v] and rest are new
+            # a refined partition is all clean; splitting the target into
+            # [v] and the rest marks [v] only, as a split in _refine would
             child = cells[:]
-            child[target_idx : target_idx + 1] = [[v], [u for u in target if u != v]]
+            child[target_idx : target_idx + 1] = [low, target ^ low]
             child_clean = [True] * len(child)
-            child_clean[target_idx] = child_clean[target_idx + 1] = False
+            child_clean[target_idx] = False
             if self._explore(
                 child, child_clean, prefix + (v,), depth + 1, eq_first, cmp_best
             ):
@@ -269,29 +294,24 @@ def _canonical_labeling(
     canonical key, the sign taken from the lexicographic edge order, zero
     flag, automorphism generators and the canonical relabeling."""
     cols = colors if colors is not None else (0,) * n
-    perm, gens = _Search(n, adj, cols).run()
+    rows, perm, order, gens = _Search(n, adj, cols).run()
     perm, gens = tuple(perm), tuple(gens)
-    base = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
-    canon_edges = sorted(
-        (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-        for u, v in base
-    )
-    key = graph6_encode(build_graph(n, canon_edges))
+    key = graph6_from_rows(n, rows)
     if colors is not None:
-        inv = [0] * n
-        for v, p in enumerate(perm):
-            inv[p] = v
-        key += b"#" + bytes(cols[inv[p]] for p in range(n))
+        key += b"#" + bytes([cols[v] for v in order])
+    base = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
     # parity of an automorphism's edge action, relative to the sorted order
     is_zero = any(_edge_perm_sign(base, sigma) < 0 for sigma in gens)
     return key, _edge_perm_sign(base, perm), is_zero, gens, perm
 
 
 def _edge_perm_sign(g_edges: Sequence[tuple[int, int]], sigma: Sequence[int]) -> int:
+    # an edge {a, b}, a < b, as a * n + b, which sorts like (a, b)
+    n = len(sigma)
     images = []
     for u, v in g_edges:
         a, b = sigma[u], sigma[v]
-        images.append((a, b) if a < b else (b, a))
+        images.append(a * n + b if a < b else b * n + a)
     return permutation_sign(images)
 
 

@@ -211,42 +211,46 @@ def components_with_sign(g: SimpleGraph) -> tuple[list[SimpleGraph], int]:
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
-    """Parity of a permutation given as a list of distinct sortable items."""
-    perm = list(perm)
-    index = {x: i for i, x in enumerate(perm)}
-    target = sorted(perm)
-    sign = 1
-    for i, want in enumerate(target):
-        j = index[perm[i]]
-        have = perm[i]
-        if have != want:
-            j = index[want]
-            perm[i], perm[j] = perm[j], perm[i]
-            index[have] = j
-            index[want] = i
-            sign = -sign
-    return sign
+    """Parity of a permutation given as a list of distinct sortable items.
+
+    The sorting permutation (an argsort) has the same parity, which is that
+    of its length minus its number of cycles."""
+    order = sorted(range(len(perm)), key=perm.__getitem__)
+    parity = len(order)
+    seen = [False] * len(order)
+    for i in range(len(order)):
+        if not seen[i]:
+            parity -= 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = order[j]
+    return -1 if parity & 1 else 1
 
 
 # ---------------------------------------------------------------------------
 # graph6 (short form, <= 62 vertices)
 
 def graph6_encode(g: SimpleGraph) -> bytes:
-    if g.n > 62:
+    n = g.n
+    return graph6_from_rows(n, [int(f"{a:0{n}b}"[::-1], 2) for a in g.adj])
+
+
+def graph6_from_rows(n: int, rows: Sequence[int]) -> bytes:
+    """graph6 of the graph on n vertices whose adjacency matrix has the
+    rows ``rows``, each an integer with column 0 as its most significant
+    of n bits."""
+    if n > 62:
         raise GraphError("graph6 short form supports at most 62 vertices")
-    out = [63 + g.n]
+    # the upper triangle column by column: column j's entries above the
+    # diagonal are the top j bits of row j
     bits = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            bits = bits << 1 | (g.adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + bits)
-                bits = nbits = 0
-    if nbits:
-        out.append(63 + (bits << (6 - nbits)))
-    return bytes(out)
+    for j in range(1, n):
+        bits = bits << j | rows[j] >> (n - j)
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    bits <<= pad
+    return bytes([63 + n] + [63 + (bits >> s & 63) for s in range(nbits + pad - 6, -1, -6)])
 
 
 def graph6_decode(data: bytes | str) -> SimpleGraph:

@@ -1,14 +1,11 @@
 """Exact sparse matrices over Q and rank computation.
 
-Default rank path is fraction-free integer elimination (cross-multiply
-and strip the row content) with Markowitz-style pivot selection; a
-probabilistic fast path works modulo two large primes and certifies the
-lower bound with one exact minor.
+The rank is computed by fraction-free integer elimination (cross-multiply
+and strip the row content) with Markowitz-style pivot selection.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -135,67 +132,3 @@ def exact_rank(m: SparseRationalMatrix) -> int:
                 )
         rows = new_rows
     return rank
-
-
-def rank_mod_prime(m: SparseRationalMatrix, p: int) -> tuple[int, list[tuple[int, int]]]:
-    """Rank modulo p plus the pivot (row, col) positions used."""
-    rows = []
-    for i, raw in enumerate(m.integer_rows()):
-        row = {j: v % p for j, v in raw.items() if v % p}
-        if row:
-            rows.append((i, row))
-    rank = 0
-    pivots: list[tuple[int, int]] = []
-    while rows:
-        i0, row0 = rows[0]
-        pj = min(row0)
-        inv = pow(row0[pj], -1, p)
-        norm = {j: v * inv % p for j, v in row0.items()}
-        pivots.append((i0, pj))
-        rank += 1
-        nxt = []
-        for i, row in rows[1:]:
-            c = row.get(pj)
-            if c:
-                row = {
-                    j: v
-                    for j in set(row) | set(norm)
-                    if (v := (row.get(j, 0) - c * norm.get(j, 0)) % p)
-                }
-                row.pop(pj, None)
-            if row:
-                nxt.append((i, row))
-        rows = nxt
-    return rank, pivots
-
-
-_PRIMES = (1073741827, 1073741831)  # two primes just above 2**30
-
-
-def fast_rank(m: SparseRationalMatrix, seed: int = 0) -> int:
-    """Two-prime modular rank, promoted after an exact minor spot check.
-
-    The modular rank is a lower bound on the rational rank; agreement of
-    two primes plus exact nonsingularity of one pivot minor certifies the
-    lower bound exactly and makes an undetected drop require a third
-    unlucky prime.  Falls back to full exact elimination on disagreement.
-    """
-    r1, pivots = rank_mod_prime(m, _PRIMES[0])
-    r2, _ = rank_mod_prime(m, _PRIMES[1])
-    if r1 != r2:
-        return exact_rank(m)
-    if r1 == 0:
-        return 0
-    rng = random.Random(seed)
-    sample = pivots if len(pivots) <= 40 else rng.sample(pivots, 40)
-    sel_rows = sorted({i for i, _ in sample})
-    sel_cols = sorted({j for _, j in sample})
-    sub = SparseRationalMatrix(len(sel_rows), len(sel_cols))
-    rmap = {i: a for a, i in enumerate(sel_rows)}
-    cmap = {j: a for a, j in enumerate(sel_cols)}
-    for (i, j), v in m.entries.items():
-        if i in rmap and j in cmap:
-            sub.set(rmap[i], cmap[j], v)
-    if exact_rank(sub) != len(sample):
-        return exact_rank(m)
-    return r1

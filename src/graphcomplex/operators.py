@@ -321,13 +321,15 @@ IDENTITIES: dict[str, Callable[[FormalSum], FormalSum]] = {
 def identity_suite(name: str, sample_keys: Sequence[bytes]) -> dict:
     """Evaluate a named identity (must vanish) on each sample class.
 
-    Each failure is a minimal witness (sample graph6, (least key of the
-    non-zero result, its coefficient))."""
+    A sample is the graph6 of any labeling of its class; it enters as its
+    canonical class, so that every labeling shares the cached images, and a
+    zero class enters as 0.  Each failure is a minimal witness (the sample
+    as given, (least key of the non-zero result, its coefficient))."""
     check = IDENTITIES[name]
     failures = []
     for key in sample_keys:
         x = FormalSum()
-        x.add_term(key, 1)
+        x.add_graph(graph6_decode(key))
         result = check(x)
         if not result.is_zero():
             term, coeff = next(iter(result))

@@ -195,3 +195,62 @@ def test_cold_labeling_digest():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "889931a71498de997aabea02ce1f8bfb5f7ebb2e9212b926eb04f571c0b2448d"
     )
+
+
+def _edge_swapped(rng: random.Random, g):
+    """g after one random degree-preserving swap ab, cd -> ac, bd, if one
+    keeps the graph simple; otherwise g."""
+    edges = list(g.edges)
+    (a, b), (c, d) = rng.sample(edges, 2)
+    if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+        edges = [e for e in edges if e not in ((a, b), (c, d))] + [(a, c), (b, d)]
+    return build_graph(g.n, edges)
+
+
+def test_canon_keys_match_networkx_isomorphism():
+    """Past the brute-force horizon: on seeded graphs with 9-14 vertices,
+    cubic and colored ones included, two graphs have equal keys exactly
+    when networkx finds a (color-preserving) isomorphism.  Graphs are
+    compared within groups of equal degree and color multisets, each graph
+    next to a relabeled copy and a degree-preserving edge swap of it."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(12)
+    groups: dict[tuple, list] = {}
+
+    def add(g, colors):
+        key = canonical_form(g, colors).canon_key
+        h = nx.Graph()
+        h.add_nodes_from((v, {"c": colors[v] if colors else 0}) for v in range(g.n))
+        h.add_edges_from(g.edges)
+        group = (g.n, tuple(sorted(g.degrees())), tuple(sorted(colors or ())))
+        groups.setdefault(group, []).append((key, h))
+
+    for i in range(90):
+        if i < 30:
+            g = _random_cubic(rng, (10, 12, 14)[i % 3])
+        else:
+            n = rng.randint(9, 14)
+            g = build_graph(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+            )
+        colors = tuple(rng.randint(0, 1) for _ in range(g.n)) if i % 4 == 0 else None
+        for h in (g, _edge_swapped(rng, g)):
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            moved = None
+            if colors:
+                moved = [0] * h.n
+                for v in range(h.n):
+                    moved[perm[v]] = colors[v]
+            add(h, colors)
+            add(relabeled(h, tuple(perm)), tuple(moved) if moved else None)
+
+    same = differ = 0
+    for members in groups.values():
+        for i, (key_a, a) in enumerate(members):
+            for key_b, b in members[i + 1 :]:
+                iso = nx.is_isomorphic(a, b, node_match=lambda x, y: x["c"] == y["c"])
+                assert (key_a == key_b) == iso
+                same += iso
+                differ += not iso
+    assert same > 400 and differ > 1200, (same, differ)

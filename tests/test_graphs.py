@@ -1,5 +1,7 @@
 """Core graph type: construction, contraction, grading, graph6 codec."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,38 @@ def test_permutation_sign():
     assert permutation_sign([0, 1, 2]) == 1
     assert permutation_sign([1, 0, 2]) == -1
     assert permutation_sign([2, 0, 1]) == 1
+
+
+def test_permutation_sign_matches_inversion_parity():
+    """Oracle: the parity of the number of inversions, on seeded sequences
+    of distinct ints and of distinct edge tuples of lengths 0-30."""
+    rng = random.Random(3)
+    for i in range(3000):
+        length = rng.randint(0, 30)
+        if i % 2:
+            pairs = [(u, v) for u in range(9) for v in range(u + 1, 9)]
+            seq = rng.sample(pairs, length)
+        else:
+            seq = rng.sample(range(-50, 50), length)
+        inversions = sum(
+            seq[a] > seq[b] for a in range(length) for b in range(a + 1, length)
+        )
+        assert permutation_sign(seq) == (-1) ** inversions, seq
+
+
+def test_graph6_matches_bitwise_definition():
+    """graph6 on 0-62 vertices: the byte 63 + n, then the upper triangle
+    column by column in 6-bit groups, zero-padded, each plus 63."""
+    rng = random.Random(6)
+    for _ in range(300):
+        n = rng.randint(0, 62)
+        p = rng.random()
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        bits = [g.adj[i] >> j & 1 for j in range(1, n) for i in range(j)]
+        bits += [0] * (-len(bits) % 6)
+        groups = [bits[s : s + 6] for s in range(0, len(bits), 6)]
+        expected = bytes([63 + n] + [63 + int("".join(map(str, b)), 2) for b in groups])
+        assert graph6_encode(g) == expected
 
 
 def test_graph6_known_value():

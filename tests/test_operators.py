@@ -329,11 +329,45 @@ def test_D_matches_unreduced_sum_on_operator_round(monkeypatch):
     assert len(keys) == 6
     for name in IDENTITIES:
         identity_suite(name, keys)
-    assert len(seen) == 30
+    assert len(seen) == 26
     for key in seen:
         x = FormalSum()
         x.add_term(key, 1)
         assert apply_D(x) == unreduced_D(graph6_decode(key)), key
+
+
+def test_samples_enter_as_canonical_classes(monkeypatch):
+    """A sample in a random labeling gives the report of its canonical key,
+    and D computes one image per distinct class it is applied to."""
+    keys = operator_round_keys()
+    canon_keys = [canonical_form(graph6_decode(k)).canon_key for k in keys]
+    assert keys != canon_keys
+    seen: list[bytes] = []
+    image = ops._D_image
+
+    def recording(key):
+        seen.append(key)
+        return image(key)
+
+    monkeypatch.setattr(ops, "_D_image", recording)
+    image.cache_clear()
+    for name in IDENTITIES:
+        assert identity_suite(name, keys) == identity_suite(name, canon_keys)
+    assert all(canonical_form(graph6_decode(k)).canon_key == k for k in seen)
+    assert image.cache_info().misses == len(set(seen)) == 26
+
+    # a wrong identity names each sample as given, with the term of its
+    # canonical class times the sign of the labeling
+    monkeypatch.setitem(
+        IDENTITIES, "wrong", lambda x: apply_delta0(apply_D(x)) + apply_D(apply_delta0(x))
+    )
+    given = identity_suite("wrong", keys)["failures"]
+    canon = identity_suite("wrong", canon_keys)["failures"]
+    assert len(given) == len(canon) == len(keys)
+    for key, (sample, (term, coeff)), (_, (cterm, ccoeff)) in zip(keys, given, canon):
+        assert sample == key.decode()
+        assert term == cterm
+        assert coeff == ccoeff * canonical_form(graph6_decode(key)).sign_to_canon
 
 
 def test_D_of_zero_class_is_zero():
@@ -346,3 +380,5 @@ def test_D_of_zero_class_is_zero():
         x.add_term(key, 1)
         assert apply_D(x).is_zero()
         assert unreduced_D(graph6_decode(key)).is_zero()
+    for name in IDENTITIES:
+        assert identity_suite(name, zero)["passed"] == len(zero)
