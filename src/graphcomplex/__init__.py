@@ -32,7 +32,6 @@ from .graphs import (
     add_edge,
     build_graph,
     complete_graph,
-    components,
     contract_edge,
     grading_of,
     graph6_decode,

@@ -21,16 +21,13 @@ from .complexes import (
     verify_theorem1,
 )
 from .connectivity import (
-    connectivity_class,
-    contraction_case,
-    r_edge_weight,
-    recompose,
+    contraction_case_failures,
+    roundtrip_failures,
     spqr,
     tree_to_json,
 )
-from .canon import canonical_form
-from .generate import build_basis, graded_bases
-from .graphs import NonSimple, contract_edge, graph6_decode
+from .generate import basis_keys, build_basis, graded_bases
+from .graphs import graph6_decode, graph6_encode
 from .sampling import biconnected_samples, nontri_samples
 
 
@@ -156,14 +153,6 @@ def _verify_theorem1(args) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _suite_keys(max_loops: int, variant: str) -> list[bytes]:
-    keys: list[bytes] = []
-    for g in range(3, max_loops + 1):
-        for basis in graded_bases(g, variant).values():
-            keys += basis.keys
-    return keys
-
-
 def _identity_line(suite: str, rep: dict) -> str:
     """One report line of an identity suite; a failing one names its first
     failed sample and the least term that did not cancel."""
@@ -175,14 +164,14 @@ def _identity_line(suite: str, rep: dict) -> str:
 
 
 def _verify_kwz(args) -> tuple[bool, list[str]]:
-    keys = _suite_keys(args.max_loops, "full")
+    keys = basis_keys(args.max_loops, "full")
     rep = ops.identity_suite("square_zero", keys)
     return not rep["failures"], [_identity_line("kwz", rep)]
 
 
 def _verify_zivkovic(args) -> tuple[bool, list[str]]:
-    keys = _suite_keys(args.max_loops, "full")
-    bikeys = _suite_keys(args.max_loops, "biconnected")
+    keys = basis_keys(args.max_loops, "full")
+    bikeys = basis_keys(args.max_loops, "biconnected")
     lines = []
     ok = True
     for name, sample in [
@@ -196,7 +185,7 @@ def _verify_zivkovic(args) -> tuple[bool, list[str]]:
 
 
 def _verify_deltak(args) -> tuple[bool, list[str]]:
-    bikeys = _suite_keys(args.max_loops, "biconnected")
+    bikeys = basis_keys(args.max_loops, "biconnected")
     lines = []
     ok = True
     for name in ("delta3", "delta4"):
@@ -207,75 +196,40 @@ def _verify_deltak(args) -> tuple[bool, list[str]]:
 
 
 def _verify_homotopy(args) -> tuple[bool, list[str]]:
-    import random
-
     samples = nontri_samples(args.samples, args.seed, args.max_loops)
-    rng = random.Random(args.seed + 1)
-    lines = []
-    ok = True
-    passed = 0
-    for g in samples:
-        lg = hom.to_labeled(g)
-        order = list(lg.leaf_ids)
-        rng.shuffle(order)
-        lg = hom.to_labeled(g, tuple(order))
-        rep = hom.homotopy_check(lg)
-        if rep["passed"]:
-            passed += 1
-        else:
-            ok = False
-            from .graphs import graph6_encode
-            lines.append(
-                f"homotopy\tFAIL\t{graph6_encode(g).decode()}\t"
-                f"k={lg.label_count}\tfirst={lg.leaf_ids[0]}\tN={rep['n_value']}"
-            )
-    lines.insert(0, f"homotopy\tPASS {passed}/{len(samples)}" if ok
-                 else f"homotopy\tFAIL {passed}/{len(samples)}")
-    return ok, lines
+    failures = hom.shuffled_leaf_failures(samples, args.seed + 1)
+    passed = len(samples) - len(failures)
+    lines = [f"homotopy\t{'FAIL' if failures else 'PASS'} {passed}/{len(samples)}"]
+    for lg, rep in failures:
+        lines.append(
+            f"homotopy\tFAIL\t{graph6_encode(lg.graph).decode()}\t"
+            f"k={lg.label_count}\tfirst={lg.leaf_ids[0]}\tN={rep['n_value']}"
+        )
+    return not failures, lines
 
 
 def _verify_spqr_roundtrip(args) -> tuple[bool, list[str]]:
+    """A failing run names its first sample that does not recompose."""
     samples = biconnected_samples(args.samples, args.seed)
-    ok = True
-    bad = 0
-    for g in samples:
-        tree = spqr(g)
-        if canonical_form(recompose(tree)).canon_key != canonical_form(g).canon_key:
-            ok = False
-            bad += 1
-    return ok, [f"spqr-roundtrip\t{'PASS' if ok else 'FAIL'}\t"
-                f"{len(samples) - bad}/{len(samples)}"]
+    failures = roundtrip_failures(samples)
+    line = (f"spqr-roundtrip\t{'FAIL' if failures else 'PASS'}\t"
+            f"{len(samples) - len(failures)}/{len(samples)}")
+    if failures:
+        line += f"\t{graph6_encode(failures[0]).decode()}"
+    return not failures, [line]
 
 
 def _verify_contraction_case(args) -> tuple[bool, list[str]]:
+    """A failing run names its first failed sample, edge position and
+    predicted case."""
     samples = nontri_samples(args.samples, args.seed, args.max_loops)
-    checked = 0
-    bad = 0
-    for g in samples:
-        tree = spqr(g)
-        weight = r_edge_weight(tree)
-        for j in range(g.k):
-            case = contraction_case(tree, j)
-            image = contract_edge(g, j)
-            if isinstance(image, NonSimple):
-                continue
-            checked += 1
-            bicon = connectivity_class(image) >= 2
-            if case == "P-kill":
-                good = not bicon
-            elif not bicon:
-                good = False
-            else:
-                new_weight = r_edge_weight(spqr(image))
-                if case == "R-local":
-                    good = new_weight < weight
-                else:  # S-shrink / S-merge
-                    good = new_weight == weight
-            if not good:
-                bad += 1
-    ok = bad == 0
-    return ok, [f"contraction-case\t{'PASS' if ok else 'FAIL'}\t"
-                f"{checked - bad}/{checked} edges"]
+    checked, failures = contraction_case_failures(samples)
+    line = (f"contraction-case\t{'FAIL' if failures else 'PASS'}\t"
+            f"{checked - len(failures)}/{checked} edges")
+    if failures:
+        g, j, case = failures[0]
+        line += f"\t{graph6_encode(g).decode()}\tedge={j}\t{case}"
+    return not failures, [line]
 
 
 VERIFIERS = {

@@ -11,16 +11,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import canonical_form
 from .generate import Basis, build_basis, grade_range, graded_bases
-from .graphs import GraphError, NonSimple, contract_edge, graph6_decode
+from .graphs import GraphError
 from .matrixops import SparseRationalMatrix, exact_rank
+from .operators import _d_image
 
 VARIANTS = ("full", "biconnected", "triconnected")
 
 
 class ComplexError(RuntimeError):
     """Internal consistency failure (d^2 != 0 or a basis gap)."""
+
+
+def matrix_of(image, source: Basis, target: Basis) -> SparseRationalMatrix:
+    """Matrix of a linear operator from `source` into `target`, one column
+    per source class; ``image(key)`` gives the operator's value on one class
+    as (class key, coefficient) pairs.  A term absent from the target basis
+    is dropped when the target is a quotient variant (it lies below the
+    connectivity threshold) and raises ComplexError when it is full."""
+    m = SparseRationalMatrix(len(target), len(source))
+    for col, key in enumerate(source.keys):
+        for ikey, coeff in image(key):
+            row = target.index.get(ikey)
+            if row is None:
+                if target.variant == "full":
+                    raise ComplexError(f"image {ikey!r} missing from full basis")
+                continue
+            m.add(row, col, coeff)
+    return m
 
 
 def differential_matrix(
@@ -35,26 +53,7 @@ def differential_matrix(
         raise GraphError("target must have one vertex fewer than source")
     if source.variant != target.variant:
         raise GraphError("variant mismatch between bases")
-    m = SparseRationalMatrix(len(target), len(source))
-    for col, key in enumerate(source.keys):
-        graph = graph6_decode(key)
-        for j in range(graph.k):
-            image = contract_edge(graph, j)
-            if isinstance(image, NonSimple):
-                continue
-            cf = canonical_form(image)
-            if cf.is_zero:
-                continue
-            row = target.index.get(cf.canon_key)
-            if row is None:
-                if source.variant == "full":
-                    raise ComplexError(
-                        f"image {cf.canon_key!r} missing from full basis"
-                    )
-                continue  # image below the quotient's connectivity threshold
-            sign = (-1) ** j * cf.sign_to_canon  # (-1)^(j-1), j one-based
-            m.add(row, col, sign)
-    return m
+    return matrix_of(_d_image, source, target)
 
 
 @dataclass(frozen=True)

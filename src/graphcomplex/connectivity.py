@@ -16,10 +16,13 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from .canon import canonical_form
 from .graphs import (
     GraphError,
+    NonSimple,
     SimpleGraph,
     build_graph,
+    contract_edge,
     is_connected,
     mask_components,
 )
@@ -394,6 +397,48 @@ def contraction_case(tree: SpqrTree, e: int) -> str:
     if len(tree.nodes[node_id].vertices) >= 4:
         return "S-shrink"
     return "S-merge"
+
+
+def contraction_case_failures(
+    samples: Sequence[SimpleGraph],
+) -> tuple[int, list[tuple[SimpleGraph, int, str]]]:
+    """Check every predicted contraction case of each biconnected sample
+    against its recomputed simple contraction: P-kill must leave the image
+    not biconnected; R-local must leave it biconnected with a lower
+    r_edge_weight, S-shrink and S-merge with the same one; any other label
+    fails.  Returns the number of contractions checked and the (sample,
+    edge position, predicted case) of each failure."""
+    checked = 0
+    failures = []
+    for g in samples:
+        tree = spqr(g)
+        weight = r_edge_weight(tree)
+        for j in range(g.k):
+            case = contraction_case(tree, j)
+            image = contract_edge(g, j)
+            if isinstance(image, NonSimple):
+                continue
+            checked += 1
+            if connectivity_class(image) < 2:
+                good = case == "P-kill"
+            elif case == "R-local":
+                good = r_edge_weight(spqr(image)) < weight
+            elif case in ("S-shrink", "S-merge"):
+                good = r_edge_weight(spqr(image)) == weight
+            else:
+                good = False
+            if not good:
+                failures.append((g, j, case))
+    return checked, failures
+
+
+def roundtrip_failures(samples: Sequence[SimpleGraph]) -> list[SimpleGraph]:
+    """The biconnected samples whose SPQR tree does not recompose to a graph
+    isomorphic to the sample."""
+    return [
+        g for g in samples
+        if canonical_form(recompose(spqr(g))).canon_key != canonical_form(g).canon_key
+    ]
 
 
 def tree_to_json(tree: SpqrTree) -> str:

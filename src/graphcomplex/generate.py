@@ -270,3 +270,14 @@ def graded_bases(g: int, variant: str = "full") -> dict[int, Basis]:
     """Basis of every grade of loop order g, ascending in r, from
     `graded_classes`; equal to `build_basis` grade by grade."""
     return {r: _basis(g, r, variant, c) for r, c in graded_classes(g).items()}
+
+
+def basis_keys(max_loops: int, variant: str) -> list[bytes]:
+    """The basis keys of every grade of loop orders 3..max_loops, the
+    sample set of the identity suites: by loop order, then by grade."""
+    return [
+        key
+        for g in range(3, max_loops + 1)
+        for basis in graded_bases(g, variant).values()
+        for key in basis.keys
+    ]

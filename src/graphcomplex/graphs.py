@@ -8,7 +8,6 @@ operations.  All values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction  # noqa: F401  (re-exported convenience)
 from typing import Iterable, Sequence
 
 
@@ -62,9 +61,6 @@ class SimpleGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, edges={list(self.edges)})"
@@ -136,6 +132,20 @@ def add_edge(g: SimpleGraph, u: int, v: int) -> SimpleGraph | AlreadyAdjacent:
     return build_graph(g.n, [(u, v)] + list(g.edges))
 
 
+def split_vertex(g: SimpleGraph, v: int, moved_positions: Iterable[int]) -> SimpleGraph:
+    """Split vertex v: the edges at ``moved_positions`` move their v end to a
+    new vertex g.n, joined to v by a new FIRST edge; the other edges keep
+    their order after it."""
+    w = g.n
+    moved = set(moved_positions)
+    edges = [(v, w)]
+    for i, (a, b) in enumerate(g.edges):
+        if i in moved:
+            a, b = (w if a == v else a), (w if b == v else b)
+        edges.append((a, b))
+    return build_graph(g.n + 1, edges)
+
+
 @dataclass(frozen=True)
 class Grading:
     loop_order: int
@@ -183,31 +193,6 @@ def is_connected(g: SimpleGraph) -> bool:
     if g.n == 0:
         return True
     return len(component_masks(g)) == 1
-
-
-def components(g: SimpleGraph) -> list[SimpleGraph]:
-    return components_with_sign(g)[0]
-
-
-def components_with_sign(g: SimpleGraph) -> tuple[list[SimpleGraph], int]:
-    """Connected components with induced edge orderings.
-
-    The sign is the parity of the unshuffle sorting the edge sequence into
-    per-component blocks (stable within blocks).
-    """
-    masks = component_masks(g)
-    comps: list[SimpleGraph] = []
-    order: list[int] = []
-    for mask in masks:
-        verts = [v for v in range(g.n) if mask >> v & 1]
-        relabel = {v: i for i, v in enumerate(verts)}
-        sub = []
-        for i, (u, v) in enumerate(g.edges):
-            if mask >> u & 1:
-                sub.append((relabel[u], relabel[v]))
-                order.append(i)
-        comps.append(build_graph(len(verts), sub))
-    return comps, permutation_sign(order)
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

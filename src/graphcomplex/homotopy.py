@@ -10,13 +10,14 @@ transport along the operations by matching skeleton real-edge sets.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .connectivity import SpqrTree, edge_owner, spqr
 from .formal import FormalSum
-from .graphs import GraphError, NonSimple, SimpleGraph, build_graph, contract_edge
-from .generate import Basis  # noqa: F401  (re-export convenience for callers)
+from .graphs import GraphError, NonSimple, SimpleGraph, contract_edge, split_vertex
 
 
 class HomotopyError(RuntimeError):
@@ -71,18 +72,19 @@ def to_labeled(
 
 
 def _transport_labels(
-    old: LabeledGraph, new_graph: SimpleGraph, vertex_map: dict[int, int]
+    old: LabeledGraph,
+    new_graph: SimpleGraph,
+    edge_map: dict[tuple[int, int], tuple[int, int]],
 ) -> LabeledGraph:
     """Rebuild the tree of new_graph and re-identify each labeled leaf by
-    its (vertex-mapped) set of skeleton real edges."""
+    the image of its skeleton real edges under edge_map, which takes each
+    old edge that survives to its new edge."""
     new_tree = spqr(new_graph)
     by_reals = {frozenset(n.real_edges): n.id for n in new_tree.nodes}
     new_ids = []
     for node_id in old.leaf_ids:
-        mapped = frozenset(
-            tuple(sorted((vertex_map[a], vertex_map[b])))
-            for a, b in old.tree.node(node_id).real_edges
-        )
+        # a leaf edge without an image maps to None, which no node holds
+        mapped = frozenset(edge_map.get(e) for e in old.tree.node(node_id).real_edges)
         target = by_reals.get(mapped)
         if target is None or new_tree.node(target).kind != "R":
             raise HomotopyError("leaf label lost in transport")
@@ -92,17 +94,18 @@ def _transport_labels(
 
 def d_prime(lg: LabeledGraph) -> list[tuple[LabeledGraph, int]]:
     """Edge contraction restricted to S-owned real edges, sign (-1)^(j-1)."""
+    edges = lg.graph.edges
     out = []
-    for j, (u, v) in enumerate(lg.graph.edges):
+    for j in range(lg.graph.k):
         _, kind = edge_owner(lg.tree, j)
         if kind != "S":
             continue
         image = contract_edge(lg.graph, j)
         if isinstance(image, NonSimple):
             continue
-        # merged vertex keeps the lower label u, labels above v shift down
-        vmap = {w: (u if w == v else (w - 1 if w > v else w)) for w in range(lg.graph.n)}
-        out.append((_transport_labels(lg, image, vmap), (-1) ** j))
+        # the image keeps the order of the surviving edges
+        edge_map = dict(zip(edges[:j] + edges[j + 1:], image.edges))
+        out.append((_transport_labels(lg, image, edge_map), (-1) ** j))
     return out
 
 
@@ -142,46 +145,11 @@ def _split_corner(
     """Split vertex x: edges at the given positions move to a new vertex
     joined to x by a new first edge; labels transport."""
     g = lg.graph
-    w = g.n
-    moved = set(side_positions)
-    edges: list[tuple[int, int]] = [(x, w)]
-    for i, (a, b) in enumerate(g.edges):
-        if i in moved:
-            a, b = (w if a == x else a), (w if b == x else b)
-        edges.append((a, b))
-    new_graph = build_graph(g.n + 1, edges)
+    new_graph = split_vertex(g, x, side_positions)
     if min(new_graph.degrees()) < 3:
         raise HomotopyError(f"corner split at vertex {x} produced a <3-valent vertex")
-    # R skeleta never contain the corner on both sides, so mapping each
-    # old vertex to its stationary copy transports every leaf edge set
-    vmap = {v: v for v in range(g.n)}
-    moved_pairs = {g.edges[i] for i in moved}
-    new_lg = _transport_labels_split(lg, new_graph, vmap, x, w, moved_pairs)
-    return new_lg, 1
-
-
-def _transport_labels_split(
-    old: LabeledGraph,
-    new_graph: SimpleGraph,
-    vmap: dict[int, int],
-    x: int,
-    w: int,
-    moved_pairs: set[tuple[int, int]],
-) -> LabeledGraph:
-    new_tree = spqr(new_graph)
-    by_reals = {frozenset(n.real_edges): n.id for n in new_tree.nodes}
-    new_ids = []
-    for node_id in old.leaf_ids:
-        mapped = set()
-        for a, b in old.tree.node(node_id).real_edges:
-            if (a, b) in moved_pairs:
-                a, b = (w if a == x else a), (w if b == x else b)
-            mapped.add(tuple(sorted((a, b))))
-        target = by_reals.get(frozenset(mapped))
-        if target is None or new_tree.node(target).kind != "R":
-            raise HomotopyError("leaf label lost in corner split")
-        new_ids.append(target)
-    return LabeledGraph(graph=new_graph, tree=new_tree, leaf_ids=tuple(new_ids))
+    # the old edges follow the new first edge in their old order
+    return _transport_labels(lg, new_graph, dict(zip(g.edges, new_graph.edges[1:]))), 1
 
 
 def n_value(lg: LabeledGraph) -> int:
@@ -256,3 +224,21 @@ def homotopy_check(lg: LabeledGraph) -> dict:
         "lhs": lhs,
         "rhs": rhs,
     }
+
+
+def shuffled_leaf_failures(
+    samples: Sequence[SimpleGraph], seed: int
+) -> list[tuple[LabeledGraph, dict]]:
+    """homotopy_check on each sample with its R leaves in an order drawn by
+    one random.Random(seed) stream; the (labeled graph, report) of each
+    sample that fails."""
+    rng = random.Random(seed)
+    failures = []
+    for g in samples:
+        order = list(to_labeled(g).leaf_ids)
+        rng.shuffle(order)
+        lg = to_labeled(g, tuple(order))
+        rep = homotopy_check(lg)
+        if not rep["passed"]:
+            failures.append((lg, rep))
+    return failures

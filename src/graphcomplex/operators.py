@@ -53,6 +53,7 @@ from .graphs import (
     component_masks,
     contract_edge,
     graph6_decode,
+    split_vertex,
 )
 
 Operator = Callable[[FormalSum], FormalSum]
@@ -104,21 +105,6 @@ def apply_d(x: FormalSum) -> FormalSum:
     return _extend(_d_image, x)
 
 
-def _split_vertex(
-    g: SimpleGraph, v: int, moved: Sequence[int]
-) -> SimpleGraph:
-    """Split vertex v: edge positions in ``moved`` are redirected to a new
-    vertex, joined to v by a new first edge."""
-    w = g.n
-    edges: list[tuple[int, int]] = [(v, w)]
-    moved_set = set(moved)
-    for i, (a, b) in enumerate(g.edges):
-        if i in moved_set:
-            a, b = (w if a == v else a), (w if b == v else b)
-        edges.append((a, b))
-    return build_graph(g.n + 1, edges)
-
-
 def _splittings(g: SimpleGraph) -> Terms:
     for v in range(g.n):
         incident = [i for i, e in enumerate(g.edges) if v in e]
@@ -129,7 +115,7 @@ def _splittings(g: SimpleGraph) -> Terms:
         rest = incident[1:]
         for size in range(2, m - 1):
             for moved in combinations(rest, size):
-                yield _split_vertex(g, v, moved), 1
+                yield split_vertex(g, v, moved), 1
 
 
 _delta0_image = _class_image(_splittings)

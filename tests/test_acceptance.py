@@ -5,7 +5,6 @@ cohomology, the 7-vertex generation oracle) carry the `slow` marker;
 deselect them with `-m "not slow"` for a quick run.
 """
 
-import random
 from itertools import permutations
 
 import pytest
@@ -13,26 +12,21 @@ import pytest
 from graphcomplex import (
     build_basis,
     cohomology_dims,
-    connectivity_class,
-    contract_edge,
-    contraction_case,
     grade_range,
     homotopy_check,
-    r_edge_weight,
-    recompose,
     spqr,
     to_labeled,
     verify_theorem1,
 )
 from graphcomplex.cli import main
-from graphcomplex.complexes import VARIANTS, differential_matrix
-from graphcomplex.generate import generate
-from graphcomplex.graphs import NonSimple
-from graphcomplex.operators import aut_order, identity_suite
+from graphcomplex.complexes import VARIANTS, differential_matrix, matrix_of
+from graphcomplex.connectivity import contraction_case_failures
+from graphcomplex.generate import basis_keys, generate
+from graphcomplex.homotopy import shuffled_leaf_failures
+from graphcomplex.operators import _delta0_image, aut_order, identity_suite
 from graphcomplex.sampling import biconnected_samples, nontri_samples
 
 from conftest import check_leaf_r, check_spqr_invariants, fig1_graph, oracle_generate
-from test_operators import delta0_matrix
 
 
 # -- 1. loop-order-10 dimension table ---------------------------------------
@@ -110,7 +104,8 @@ def test_4_d_squared_zero(g, variant):
 def test_4_adjointness(g):
     """Exhaustive <delta0 a, b> = <a, d b> on small grades (g <= 4 is the
     contract; g = 5 keeps the check non-vacuous since the g = 4 bases are
-    empty and g = 3 has a single class)."""
+    empty and g = 3 has a single class), checked as
+    Delta[b', a] |Aut b'| == M[a, b'] |Aut a| on every grade pair."""
     rs = list(grade_range(g))
     for r in rs:
         if r - 1 < rs[0]:
@@ -119,33 +114,25 @@ def test_4_adjointness(g):
         lower = build_basis(g, r - 1)
         if not len(upper) or not len(lower):
             continue
-        m = differential_matrix(upper, lower)
-        delta = delta0_matrix(lower, upper)
+        m = differential_matrix(upper, lower)  # d: upper -> lower
+        delta = matrix_of(_delta0_image, lower, upper)  # delta0: lower -> upper
         for i, up_key in enumerate(upper.keys):
             for j, low_key in enumerate(lower.keys):
-                assert delta.get(i, j) * aut_order(up_key) == m.get(
-                    j, i
-                ) * aut_order(low_key)
+                lhs = delta.get(i, j) * aut_order(up_key)
+                rhs = m.get(j, i) * aut_order(low_key)
+                assert lhs == rhs, (g, r, up_key, low_key)
 
 
 # -- 5. operator identity suite ----------------------------------------------
 
-def _keys(max_loops, variant="full"):
-    out = []
-    for g in range(3, max_loops + 1):
-        for r in grade_range(g):
-            out += list(build_basis(g, r, variant).keys)
-    return out
-
-
 def test_5_identities_on_all_small_basis_graphs():
-    keys = _keys(4)
+    keys = basis_keys(4, "full")
     assert keys == list(build_basis(3, 4).keys)  # g=4 bases are all empty
     for name in ("square_zero", "delta0_D", "D_squared", "nabla_D"):
         report = identity_suite(name, keys)
         assert not report["failures"], report
 
-    bikeys = _keys(4, "biconnected") + _keys(5, "biconnected")
+    bikeys = basis_keys(4, "biconnected") + basis_keys(5, "biconnected")
     for name in ("Dbar_squared", "nabla_Dbar", "delta3", "delta4"):
         report = identity_suite(name, bikeys)
         assert not report["failures"], report
@@ -163,12 +150,7 @@ def test_6_homotopy_figure_one_all_first_leaves():
 
 
 def test_6_homotopy_two_hundred_samples():
-    rng = random.Random(123)
-    for g in nontri_samples(200, seed=123, max_loops=6):
-        order = list(to_labeled(g).leaf_ids)
-        rng.shuffle(order)
-        rep = homotopy_check(to_labeled(g, tuple(order)))
-        assert rep["passed"]
+    assert not shuffled_leaf_failures(nontri_samples(200, seed=123, max_loops=6), 123)
 
 
 # -- 7. SPQR structural suite ---------------------------------------------------
@@ -181,26 +163,9 @@ def test_7_spqr_roundtrip_five_hundred():
 
 
 def test_7_contraction_case_five_hundred():
-    samples = 0
-    for g in nontri_samples(200, seed=77, max_loops=6):
-        tree = spqr(g)
-        weight = r_edge_weight(tree)
-        for j in range(g.k):
-            case = contraction_case(tree, j)
-            image = contract_edge(g, j)
-            if isinstance(image, NonSimple):
-                continue
-            samples += 1
-            if case == "P-kill":
-                assert connectivity_class(image) < 2
-            else:
-                assert connectivity_class(image) >= 2
-                new_weight = r_edge_weight(spqr(image))
-                if case == "R-local":
-                    assert new_weight < weight
-                else:
-                    assert new_weight == weight
-    assert samples >= 500
+    checked, failures = contraction_case_failures(nontri_samples(200, seed=77, max_loops=6))
+    assert not failures
+    assert checked >= 500
 
 
 # -- 8. generator oracle equivalence ---------------------------------------------

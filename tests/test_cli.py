@@ -5,10 +5,13 @@ import json
 
 import pytest
 
+import graphcomplex.connectivity as connectivity
 import graphcomplex.operators as ops
-from graphcomplex import FormalSum, canonical_form, graph6_encode
+from graphcomplex import FormalSum, build_graph, canonical_form, contract_edge, graph6_encode
 from graphcomplex.cli import main
-from graphcomplex.generate import graded_bases
+from graphcomplex.generate import basis_keys
+from graphcomplex.graphs import NonSimple
+from graphcomplex.sampling import biconnected_samples, nontri_samples
 
 from conftest import fig1_graph, k4
 
@@ -142,7 +145,7 @@ def test_failed_identity_prints_witness(monkeypatch, capsys):
     monkeypatch.setitem(ops.IDENTITIES, "delta0_D", flipped)
     assert main(["verify", "zivkovic", "--max-loops", "5"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    keys = [k for g in (3, 4, 5) for b in graded_bases(g).values() for k in b.keys]
+    keys = basis_keys(5, "full")
     nablas = []
     for key in keys:
         x = FormalSum()
@@ -155,3 +158,35 @@ def test_failed_identity_prints_witness(monkeypatch, capsys):
         f"{failed[0][0].decode()}\t{coeff}*{term.decode()}"
     )
     assert all(line.endswith("\tPASS") for line in lines[1:])
+
+
+def test_failed_spqr_roundtrip_prints_witness(monkeypatch, capsys):
+    """A failing round trip exits 1 and names its first failed sample."""
+    recompose = connectivity.recompose
+
+    def lossy(tree):  # drops the last edge of graphs with an even edge count
+        g = tree.graph
+        return recompose(tree) if g.k % 2 else build_graph(g.n, g.edges[:-1])
+
+    monkeypatch.setattr(connectivity, "recompose", lossy)
+    assert main(["verify", "spqr-roundtrip", "--samples", "20"]) == 1
+    samples = biconnected_samples(20, 0)
+    even = [g for g in samples if g.k % 2 == 0]
+    assert 0 < len(even) < len(samples) and samples[0] is not even[0]
+    assert capsys.readouterr().out == (
+        f"spqr-roundtrip\tFAIL\t{len(samples) - len(even)}/{len(samples)}\t"
+        f"{graph6_encode(even[0]).decode()}\n"
+    )
+
+
+def test_unknown_contraction_case_fails_with_witness(monkeypatch, capsys):
+    """A case label outside P-kill, R-local, S-shrink and S-merge fails, and
+    the line names the first failed sample, edge position and case."""
+    monkeypatch.setattr(connectivity, "contraction_case", lambda tree, e: "bogus")
+    assert main(["verify", "contraction-case", "--samples", "3", "--max-loops", "5"]) == 1
+    g = nontri_samples(3, 0, 5)[0]
+    j = next(j for j in range(g.k) if not isinstance(contract_edge(g, j), NonSimple))
+    fields = capsys.readouterr().out.rstrip("\n").split("\t")
+    assert fields[:2] == ["contraction-case", "FAIL"]
+    assert fields[2].startswith("0/") and fields[2].endswith(" edges")
+    assert fields[3:] == [graph6_encode(g).decode(), f"edge={j}", "bogus"]

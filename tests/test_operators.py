@@ -1,4 +1,4 @@
-"""Dual-side operators: gradings, adjointness, and the identity suite."""
+"""Dual-side operators: gradings, pairing, and the identity suite."""
 
 import hashlib
 import random
@@ -18,8 +18,6 @@ from graphcomplex import (
     build_basis,
     build_graph,
     canonical_form,
-    differential_matrix,
-    grade_range,
     graph6_decode,
     graph6_encode,
     identity_suite,
@@ -27,21 +25,13 @@ from graphcomplex import (
     singleton,
 )
 import graphcomplex.operators as ops
-from graphcomplex.generate import generate
+from graphcomplex.generate import basis_keys, generate
 from graphcomplex.graphs import component_masks, grading_of
 from graphcomplex.operators import IDENTITIES, aut_order
 
 from conftest import k4, k5, k33, prism, relabeled, unreduced_D, wheel
 
 OPERATORS = (apply_d, apply_delta0, apply_nabla, apply_D, apply_Dbar)
-
-
-def all_basis_keys(max_loops: int, variant: str = "full") -> list[bytes]:
-    keys: list[bytes] = []
-    for g in range(3, max_loops + 1):
-        for r in grade_range(g):
-            keys += list(build_basis(g, r, variant).keys)
-    return keys
 
 
 def test_d_of_k4_is_zero():
@@ -121,43 +111,8 @@ def test_pairing_is_aut_weighted_and_symmetric():
     assert pairing(y, z) == pairing(z, y) == Fraction(2, 3) * 10
 
 
-def delta0_matrix(source, target):
-    """Matrix of delta0 from `source` (r vertices) into `target` (r+1)."""
-    from graphcomplex.matrixops import SparseRationalMatrix
-
-    m = SparseRationalMatrix(len(target), len(source))
-    for col, key in enumerate(source.keys):
-        image = apply_delta0(singleton(graph6_decode(key)))
-        for ikey, coeff in image:
-            row = target.index.get(ikey)
-            if row is not None:
-                m.add(row, col, coeff)
-    return m
-
-
-@pytest.mark.parametrize("g", [3, 4, 5])
-def test_delta0_is_adjoint_to_d(g):
-    """<delta0 a, b> = <a, d b> under the Aut-weighted pairing, checked as
-    Delta[b', a] |Aut b'| == M[a, b'] |Aut a| on every grade pair."""
-    rs = list(grade_range(g))
-    for r in rs:
-        if r - 1 < rs[0]:
-            continue
-        upper = build_basis(g, r)
-        lower = build_basis(g, r - 1)
-        if not len(upper) or not len(lower):
-            continue
-        m = differential_matrix(upper, lower)  # d: upper -> lower
-        delta = delta0_matrix(lower, upper)  # delta0: lower -> upper
-        for i, up_key in enumerate(upper.keys):
-            for j, low_key in enumerate(lower.keys):
-                lhs = delta.get(i, j) * aut_order(up_key)
-                rhs = m.get(j, i) * aut_order(low_key)
-                assert lhs == rhs, (g, r, up_key, low_key)
-
-
 def test_identity_suite_loop_order_five():
-    keys = all_basis_keys(5)
+    keys = basis_keys(5, "full")
     assert keys  # non-vacuous: loop orders 3 and 5 contribute
     for name in ("square_zero", "nabla_squared", "delta0_D", "D_squared"):
         report = identity_suite(name, keys)
@@ -166,7 +121,7 @@ def test_identity_suite_loop_order_five():
 
 
 def test_biconnected_identities_loop_order_five():
-    keys = all_basis_keys(5, "biconnected")
+    keys = basis_keys(5, "biconnected")
     for name in ("Dbar_squared", "delta3"):
         report = identity_suite(name, keys)
         assert not report["failures"], report
@@ -186,7 +141,7 @@ def test_identity_suite_detects_wrong_signs():
 def guard_keys() -> list[bytes]:
     """The biconnected classes of loop orders 3-5 and the 7-vertex
     biconnected classes of loop order 6."""
-    return all_basis_keys(5, "biconnected") + list(build_basis(6, 7, "biconnected").keys)
+    return basis_keys(5, "biconnected") + list(build_basis(6, 7, "biconnected").keys)
 
 
 def test_operator_output_digests():
