@@ -5,8 +5,8 @@ accepted only if the edge just added lies in the automorphism orbit of the
 child's canonical deletion edge.  Each isomorphism class of each admissible
 intermediate graph is visited exactly once.
 
-`generate` runs this search for one grade.  `graded_classes` runs it only
-for the cubic grade of a loop order and builds every lower grade as the
+`generate` runs this search for one grade.  `graded_classes` builds the
+cubic grade of a loop order without it (below) and every lower grade as the
 simple edge contractions of the grade above.
 
 The canonical deletion edge is chosen among the edges with the least pair
@@ -15,12 +15,50 @@ the canonical relabeling puts last.  The degree pair is an isomorphism
 invariant that needs no canonization, so a child whose new edge does not
 have the least pair is rejected before `canonical_form` is called (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+
+The connected simple cubic graphs on n vertices are built bottom-up from
+K4, after Brinkmann ("Fast generation of cubic graphs", J. Graph Theory 23,
+1996), as the canonical classes of three kinds of children:
+
+- E, on a class of n - 2 vertices: subdivide two distinct edges and join
+  the two new vertices;
+- D, on a class of n - 4 vertices: replace an edge uw by a diamond (K4
+  minus an edge) whose two valence-2 vertices take u and w;
+- B, on two classes of n1 + n2 = n - 2 vertices: subdivide one edge in
+  each and join the two new vertices.
+
+E and D take one edge pair or edge per orbit of the class's automorphism
+generators; duplicates are removed by canonical key.  The three are enough.
+Undoing E at an edge xy means removing it and suppressing x and y (joining
+each one's two other neighbours); that is simple and connected when xy is
+no bridge, neither x nor y has its other two neighbours adjacent, and the
+two new edges differ.  Let G be connected simple cubic and not K4.
+
+- Without triangles and bridges, E can be undone at every edge: a double
+  edge or a joined neighbour pair would close a triangle.
+- A bridge xy with neither end in a triangle undoes B: removing it and
+  suppressing x and y leaves two simple cubic graphs.
+- A triangle abc whose outer neighbours a', b', c' are distinct undoes E at
+  bc: a is joined to b' and c', neither a neighbour of a before.
+- Otherwise two outer neighbours of a triangle agree, and it lies in a
+  diamond with valence-2 ends a, d and outer neighbours u of a and w of d.
+  If u and w are distinct and not adjacent, replacing the diamond by the
+  edge uw undoes D.  If they are adjacent, E can be undone at uw: it lies
+  on the cycle u a b d w, and a and d have all their other neighbours
+  inside the diamond.  If u = w, its third edge ut is a bridge and u lies
+  in no triangle.  If t lies in none either, this bridge undoes B.  If it
+  does, u is t's outer neighbour there and is adjacent to neither other
+  vertex, whose neighbours are not a, d or t.  So the triangle's outer
+  neighbours are distinct (undo E), or it lies in a second diamond with
+  end t whose other end has an outer neighbour w' that is neither u nor
+  adjacent to u (undo D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -30,6 +68,7 @@ from .graphs import (
     NonSimple,
     SimpleGraph,
     build_graph,
+    complete_graph,
     component_masks,
     contract_edge,
     graph6_decode,
@@ -68,11 +107,12 @@ def _feasible(g: SimpleGraph, k: int) -> bool:
     return True
 
 
-def _edge_orbit_roots(
-    items: Sequence[tuple[int, int]], gens: tuple[tuple[int, ...], ...]
-) -> list[int]:
-    """For each vertex pair in `items`, the least index of its orbit under
-    the given vertex permutations, which map `items` onto itself."""
+def _pair_perms(
+    items: Sequence[tuple[int, int]], gens: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The permutations of the index set of `items`, a sequence of ordered
+    pairs a < b, that the given permutations induce; they must map `items`
+    onto itself."""
     index = {e: i for i, e in enumerate(items)}
     perms = []
     for g in gens:
@@ -81,11 +121,19 @@ def _edge_orbit_roots(
             u, v = g[u], g[v]
             perm.append(index[(u, v) if u < v else (v, u)])
         perms.append(perm)
-    return _orbit_roots(len(items), perms)
+    return perms
+
+
+def _edge_orbit_roots(
+    items: Sequence[tuple[int, int]], gens: Sequence[Sequence[int]]
+) -> list[int]:
+    """For each pair in `items`, the least index of its orbit under the
+    given permutations, which map `items` onto itself."""
+    return _orbit_roots(len(items), _pair_perms(items, gens))
 
 
 def _edge_orbit_reps(
-    items: list[tuple[int, int]], gens: tuple[tuple[int, ...], ...]
+    items: list[tuple[int, int]], gens: Sequence[Sequence[int]]
 ) -> list[tuple[int, int]]:
     """One representative per orbit of vertex pairs under the given perms."""
     if not gens:
@@ -205,19 +253,85 @@ def _contraction_classes(classes: ClassKeys) -> ClassKeys:
     return ClassKeys(out, zero)
 
 
+def _insert_edge(
+    n: int, edges: Sequence[tuple[int, int]], i: int, j: int
+) -> SimpleGraph:
+    """Subdivide edges i != j of a graph on n vertices by the new vertices n
+    and n + 1, and join those two: E, or B on a disjoint union."""
+    (a, b), (c, d) = edges[i], edges[j]
+    rest = [e for pos, e in enumerate(edges) if pos != i and pos != j]
+    return build_graph(n + 2, rest + [(a, n), (b, n), (c, n + 1), (d, n + 1), (n, n + 1)])
+
+
+def _insert_diamond(g: SimpleGraph, i: int) -> SimpleGraph:
+    """D: replace edge i = (u, w) by the diamond on new vertices a, b, c, d
+    without the edge ad, joined to the graph by ua and dw."""
+    u, w = g.edges[i]
+    a, b, c, d = range(g.n, g.n + 4)
+    rest = [e for pos, e in enumerate(g.edges) if pos != i]
+    return build_graph(
+        g.n + 4, rest + [(u, a), (a, b), (a, c), (b, c), (b, d), (c, d), (d, w)]
+    )
+
+
+def _orbit_reps(n: int, perms: Sequence[Sequence[int]]) -> list[int]:
+    roots = _orbit_roots(n, perms)
+    return [i for i in range(n) if roots[i] == i]
+
+
+def _cubic_classes(g: int) -> ClassKeys:
+    """generate(2g - 2, 3g - 3): the connected simple cubic classes of loop
+    order g, built from K4 by E, D and B (see the module docstring)."""
+    # per grade, the first graph found of each class and the permutations
+    # of its edge positions that its automorphism generators induce
+    grades: dict[int, list[tuple[SimpleGraph, list[list[int]]]]] = {}
+    keys: set[bytes] = set()
+    zero: set[bytes] = set()
+    for n in range(4, 2 * g - 1, 2):
+        keys, zero, grade = set(), set(), []
+
+        def add(child: SimpleGraph) -> None:
+            cf = canonical_form(child)
+            if cf.canon_key not in keys:
+                keys.add(cf.canon_key)
+                if cf.is_zero:
+                    zero.add(cf.canon_key)
+                grade.append((child, _pair_perms(child.edges, cf.aut_generators)))
+
+        if n == 4:
+            add(complete_graph(4))
+        for graph, perms in grades.get(n - 2, ()):
+            pairs = list(combinations(range(graph.k), 2))
+            for i, j in _edge_orbit_reps(pairs, perms):
+                add(_insert_edge(graph.n, graph.edges, i, j))
+        for graph, perms in grades.get(n - 4, ()):
+            for i in _orbit_reps(graph.k, perms):
+                add(_insert_diamond(graph, i))
+        for n1 in range(4, n // 2, 2):
+            left, right = grades[n1], grades[n - 2 - n1]
+            for pos, (g1, perms1) in enumerate(left):
+                for g2, perms2 in right[pos:] if left is right else right:
+                    union = g1.edges + tuple((u + g1.n, v + g1.n) for u, v in g2.edges)
+                    for i in _orbit_reps(g1.k, perms1):
+                        for j in _orbit_reps(g2.k, perms2):
+                            add(_insert_edge(g1.n + g2.n, union, i, g1.k + j))
+        grades[n] = grade
+    return ClassKeys(keys, zero)
+
+
 @lru_cache(maxsize=16)
 def graded_classes(g: int) -> Mapping[int, ClassKeys]:
     """generate(r, g + r - 1) for every grade r of loop order g, ascending.
 
-    Only the cubic grade r = 2g - 2 is searched.  A simple contraction keeps
-    a graph connected and at least trivalent, and splitting a vertex of
-    valence d >= 4 into valences 3 and d - 1 undoes one, so each lower grade
-    is the set of contractions of the grade above, orientation-zero classes
-    of that grade included."""
+    The cubic grade r = 2g - 2 is built by `_cubic_classes`.  A simple
+    contraction keeps a graph connected and at least trivalent, and
+    splitting a vertex of valence d >= 4 into valences 3 and d - 1 undoes
+    one, so each lower grade is the set of contractions of the grade above,
+    orientation-zero classes of that grade included."""
     rs = grade_range(g)
     if not rs:
         return MappingProxyType({})
-    classes = {rs[-1]: generate(rs[-1], g + rs[-1] - 1)}
+    classes = {rs[-1]: _cubic_classes(g)}
     for r in reversed(rs[:-1]):
         classes[r] = _contraction_classes(classes[r + 1])
     return MappingProxyType(dict(sorted(classes.items())))

@@ -1,8 +1,8 @@
 """Acceptance gate: the eight headline checks, all exact, zero tolerance.
 
-Long-running checks (loop-order-10 table through 9 vertices, loop order 7
-cohomology, the 7-vertex generation oracle) carry the `slow` marker;
-deselect them with `-m "not slow"` for a quick run.
+Long-running checks (loop-order-10 table through 9 vertices, the 7-vertex
+generation oracle) carry the `slow` marker; deselect them with
+`-m "not slow"` for a quick run.
 """
 
 from itertools import permutations
@@ -68,7 +68,6 @@ def test_2_cohomology_figure(g):
         assert 0 <= k <= g - 3  # vanishing outside the window
 
 
-@pytest.mark.slow
 def test_2_cohomology_loop_order_seven():
     assert cohomology_dims(7, "full").dims_by_degree() == {0: 1}
 

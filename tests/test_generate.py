@@ -2,16 +2,21 @@
 
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
 from graphcomplex import build_basis, build_graph, canonical_form, graph6_decode
 from graphcomplex.complexes import VARIANTS
+import graphcomplex.generate as generate_module
 from graphcomplex.generate import (
     ClassKeys,
     _canonical_deletion_ok,
     _contraction_classes,
+    _cubic_classes,
     _has_least_degree_pair,
+    _insert_diamond,
+    _insert_edge,
     generate,
     grade_range,
     graded_bases,
@@ -127,6 +132,83 @@ def test_graded_classes_equal_direct_generation(g):
         # against a fresh canonization of each key
         fresh = {k for k in classes if canonical_form(graph6_decode(k)).is_zero}
         assert classes.zero == direct.zero == fresh, (g, r)
+
+
+@pytest.mark.slow
+def test_cubic_grade_loop_order_seven_equals_direct_generation():
+    cubic = _cubic_classes(7)
+    direct = generate(12, 18)
+    assert cubic == direct
+    assert cubic.zero == direct.zero
+
+
+def test_cubic_grade_counts():
+    # OEIS A002851: connected cubic graphs on 4, 6, ..., 14 vertices
+    assert [len(_cubic_classes(g)) for g in range(3, 9)] == [1, 2, 5, 19, 85, 509]
+
+
+@pytest.mark.slow
+def test_cubic_grade_loop_order_eight_unchanged():
+    """Digests of the sorted keys and zero keys of generate(14, 21), the
+    search the cubic construction replaced (commit 9cddf8c)."""
+    cubic = _cubic_classes(8)
+    assert (len(cubic), len(cubic.zero)) == (509, 295)
+    assert hashlib.sha256(b"\n".join(sorted(cubic))).hexdigest() == (
+        "cd83be7df4c55e85ffd14c4baae5da011ef1a1dec07f1e0c4984e87b2579a11d"
+    )
+    assert hashlib.sha256(b"\n".join(sorted(cubic.zero))).hexdigest() == (
+        "f681d0070dd31ebfc3f0a27b3578314258eff1a7fd30745d679afacc02841d05"
+    )
+
+
+def _cubic(n):
+    return [graph6_decode(key) for key in sorted(generate(n, 3 * n // 2))]
+
+
+def _e_children(n):
+    """Classes of E on every edge pair of every cubic class on n vertices."""
+    return {
+        canonical_form(_insert_edge(g.n, g.edges, i, j)).canon_key
+        for g in _cubic(n)
+        for i, j in combinations(range(g.k), 2)
+    }
+
+
+def _d_children(n):
+    """Classes of D on every edge of every cubic class on n vertices."""
+    return {
+        canonical_form(_insert_diamond(g, i)).canon_key
+        for g in _cubic(n)
+        for i in range(g.k)
+    }
+
+
+def test_cubic_construction_needs_the_diamond():
+    key = canonical_form(graph6_decode(b"GB]DMG")).canon_key
+    assert key in generate(8, 12)
+    assert key not in _e_children(6)
+    assert key in _d_children(4)
+
+
+def test_cubic_construction_needs_the_bridge():
+    key = canonical_form(graph6_decode(b"IG?W{r_w?")).canon_key
+    assert key in generate(10, 15)
+    assert key not in _e_children(8)
+    assert key not in _d_children(6)
+
+
+def test_graded_classes_build_the_cubic_grade_without_search(monkeypatch):
+    """The top grade comes from the cubic construction, not from
+    `generate`; the uncached body runs, so the cache stays as it was."""
+    direct = {r: generate(r, 5 + r - 1) for r in grade_range(5)}
+
+    def no_search(r, k):
+        raise AssertionError(f"generate({r}, {k}) called")
+
+    monkeypatch.setattr(generate_module, "generate", no_search)
+    graded = graded_classes.__wrapped__(5)
+    assert graded == direct
+    assert all(graded[r].zero == direct[r].zero for r in direct)
 
 
 def test_contraction_closure_needs_the_zero_classes():
