@@ -27,13 +27,11 @@ from .formal import FormalSum, singleton
 from .generate import Basis, build_basis
 from .graphs import (
     GraphError,
-    Grading,
     SimpleGraph,
     add_edge,
     build_graph,
     complete_graph,
     contract_edge,
-    grading_of,
     graph6_decode,
     graph6_encode,
     is_connected,

@@ -14,15 +14,13 @@ required to preserve colors.  This is used for leaf-labeled graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import SimpleGraph, graph6_decode, graph6_from_rows, permutation_sign
 
 
-@dataclass(frozen=True)
-class CanonicalClass:
+class CanonicalClass(NamedTuple):
     """Canonical key of an isomorphism class plus orientation bookkeeping.
 
     ``sign_to_canon`` is the parity of the edge permutation taking the

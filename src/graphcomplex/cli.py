@@ -83,7 +83,7 @@ def cmd_cohomology(args) -> int:
         doc = {
             "loops": rep.loop_order,
             "variant": rep.variant,
-            "rows": [vars(r) | {} for r in rep.rows],
+            "rows": [r._asdict() for r in rep.rows],
             "dims_by_degree": {str(k): v for k, v in sorted(rep.table_n2.items())},
         }
         _emit([json.dumps(doc, indent=2)], args.out)

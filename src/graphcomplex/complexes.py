@@ -9,7 +9,7 @@ state dimensions only.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .generate import Basis, build_basis, grade_range, graded_bases
 from .graphs import GraphError
@@ -56,8 +56,7 @@ def differential_matrix(
     return matrix_of(_d_image, source, target)
 
 
-@dataclass(frozen=True)
-class GradeRow:
+class GradeRow(NamedTuple):
     vertex_count: int
     degree_n0: int
     degree_n2: int
@@ -67,13 +66,12 @@ class GradeRow:
     dim_h: int
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     loop_order: int
     variant: str
     rows: tuple[GradeRow, ...]
     # n=2 reading: degree k at vertex grade r is k = r - g - 1
-    table_n2: dict[int, int] = field(default_factory=dict)
+    table_n2: dict[int, int]
 
     def dims_by_degree(self) -> dict[int, int]:
         return dict(self.table_n2)
@@ -128,8 +126,7 @@ def cohomology_dims(g: int, variant: str = "full") -> CohomologyReport:
     )
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     loop_order: int
     reports: dict[str, CohomologyReport]
     passed: bool

@@ -13,8 +13,7 @@ virtual placeholders); the input graph itself is always simple.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .canon import canonical_form
 from .graphs import (
@@ -35,15 +34,13 @@ class SpqrError(ValueError):
     """Structurally invalid SPQR input."""
 
 
-@dataclass(frozen=True)
-class VirtualEdge:
+class VirtualEdge(NamedTuple):
     endpoints: tuple[int, int]
     twin_node: int
     twin_index: int
 
 
-@dataclass(frozen=True)
-class SpqrNode:
+class SpqrNode(NamedTuple):
     id: int
     kind: str  # "S" | "P" | "R"
     vertices: frozenset[int]
@@ -51,8 +48,7 @@ class SpqrNode:
     virtual_edges: tuple[VirtualEdge, ...]
 
 
-@dataclass(frozen=True)
-class SpqrTree:
+class SpqrTree(NamedTuple):
     graph: SimpleGraph
     nodes: tuple[SpqrNode, ...]
     tree_edges: tuple[tuple[int, int], ...]

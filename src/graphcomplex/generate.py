@@ -56,11 +56,10 @@ two new edges differ.  Let G be connected simple cubic and not K4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .canon import CanonicalClass, _orbit_roots, canonical_form
 from .connectivity import connectivity_class
@@ -340,8 +339,7 @@ def graded_classes(g: int) -> Mapping[int, ClassKeys]:
 _THRESHOLD = {"full": 1, "biconnected": 2, "triconnected": 3}
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(NamedTuple):
     """Deterministic ordered basis of one graded piece of one variant."""
 
     loop_order: int
@@ -350,6 +348,7 @@ class Basis:
     keys: tuple[bytes, ...]
     index: dict[bytes, int]
 
+    # the basis size, not the field count, so `_make` and `_replace` fail
     def __len__(self) -> int:
         return len(self.keys)
 

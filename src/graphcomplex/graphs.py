@@ -1,4 +1,4 @@
-"""Labeled simple graphs, graph surgery, grading, and graph6 I/O.
+"""Labeled simple graphs, graph surgery, and graph6 I/O.
 
 A graph is stored with an explicit edge sequence; the position of an edge
 in that sequence is the orientation datum carried through all surgery
@@ -7,8 +7,7 @@ operations.  All values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -37,8 +36,7 @@ NON_SIMPLE = NonSimple()
 ALREADY_ADJACENT = AlreadyAdjacent()
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(NamedTuple):
     """Simple graph on vertices 0..n-1 with an ordered edge sequence.
 
     ``edges[i] = (u, v)`` with ``u < v``; the sequence order is the
@@ -144,23 +142,6 @@ def split_vertex(g: SimpleGraph, v: int, moved_positions: Iterable[int]) -> Simp
             a, b = (w if a == v else a), (w if b == v else b)
         edges.append((a, b))
     return build_graph(g.n + 1, edges)
-
-
-@dataclass(frozen=True)
-class Grading:
-    loop_order: int
-    degree_n0: int
-    degree_n2: int
-
-
-def grading_of(g: SimpleGraph) -> Grading:
-    """Loop order and cohomological degrees (n=0 and n=2 readouts).
-
-    For disconnected graphs the loop order is k - r + c with c components.
-    """
-    c = len(component_masks(g))
-    loop = g.k - g.n + c
-    return Grading(loop_order=loop, degree_n0=-g.k, degree_n2=g.k - 2 * (g.n - 1))
 
 
 def component_masks(g: SimpleGraph) -> list[int]:

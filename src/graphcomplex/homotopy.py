@@ -11,9 +11,8 @@ transport along the operations by matching skeleton real-edge sets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .connectivity import SpqrTree, edge_owner, spqr
 from .formal import FormalSum
@@ -24,8 +23,7 @@ class HomotopyError(RuntimeError):
     """Violated structural assumption (non-R leaf, lost label, valence)."""
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(NamedTuple):
     """Graph + SPQR tree + R-leaf labels (leaf_ids[i] carries label i+1)."""
 
     graph: SimpleGraph

@@ -6,16 +6,17 @@ and strip the row content) with Markowitz-style pivot selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 
-@dataclass
 class SparseRationalMatrix:
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int) -> None:
+        self.rows = rows
+        self.cols = cols
+        self.entries: dict[tuple[int, int], Fraction] = {}
 
     def set(self, i: int, j: int, value: Fraction | int) -> None:
         value = Fraction(value)

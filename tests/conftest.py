@@ -23,7 +23,7 @@ from graphcomplex import (
     is_connected,
 )
 from graphcomplex.connectivity import roundtrip_failures
-from graphcomplex.graphs import permutation_sign
+from graphcomplex.graphs import component_masks, permutation_sign
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,11 @@ def mid_graph() -> SimpleGraph:
 def relabeled(g: SimpleGraph, perm: tuple[int, ...]) -> SimpleGraph:
     """Apply the vertex permutation to g, keeping the edge order."""
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def loop_order(g: SimpleGraph) -> int:
+    """First Betti number k - n + c, c the number of components."""
+    return g.k - g.n + len(component_masks(g))
 
 
 def brute_automorphisms(g: SimpleGraph) -> list[tuple[int, ...]]:

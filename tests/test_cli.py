@@ -59,6 +59,15 @@ def test_cohomology_output(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["dims_by_degree"] == {"0": 1}
 
+    # byte-identity guard of the JSON rows at loop orders 3-6; the digest
+    # was computed at commit 660fad2, where the rows were dataclasses
+    for g in range(3, 7):
+        assert main(["--format", "json", "cohomology", "--loops", str(g)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ce9bda987d0e84501d92982efaae64cebcacd9a0e3c0fc3d958b6a5824246796"
+    )
+
 
 def test_spqr_json(capsys):
     g6 = graph6_encode(fig1_graph()).decode()

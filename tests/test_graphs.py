@@ -10,9 +10,9 @@ from graphcomplex import (
     GraphError,
     add_edge,
     build_graph,
+    cohomology_dims,
     complete_graph,
     contract_edge,
-    grading_of,
     graph6_decode,
     graph6_encode,
     is_connected,
@@ -24,7 +24,7 @@ from graphcomplex.graphs import (
     permutation_sign,
 )
 
-from conftest import k4
+from conftest import k4, loop_order
 
 
 def test_build_rejects_bad_edges():
@@ -71,7 +71,7 @@ def test_contract_preserves_loop_order():
         h = contract_edge(g, j)
         if isinstance(h, NonSimple):
             continue
-        assert grading_of(h).loop_order == grading_of(g).loop_order
+        assert loop_order(h) == loop_order(g)
 
 
 def test_add_edge_goes_first():
@@ -82,10 +82,11 @@ def test_add_edge_goes_first():
 
 
 def test_grading_k4():
-    grade = grading_of(k4())
-    assert grade.loop_order == 3
-    assert grade.degree_n0 == -6
-    assert grade.degree_n2 == 0
+    """K4 is the one class at loop order 3; its grade row carries the n=0
+    and n=2 degree readouts -k and k - 2(r-1)."""
+    assert loop_order(k4()) == 3
+    (row,) = [r for r in cohomology_dims(3).rows if r.vertex_count == 4]
+    assert (row.degree_n0, row.degree_n2, row.dim_basis) == (-6, 0, 1)
 
 
 def test_components_and_connectivity():

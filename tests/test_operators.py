@@ -26,10 +26,10 @@ from graphcomplex import (
 )
 import graphcomplex.operators as ops
 from graphcomplex.generate import basis_keys, generate
-from graphcomplex.graphs import component_masks, grading_of
+from graphcomplex.graphs import component_masks
 from graphcomplex.operators import IDENTITIES, aut_order
 
-from conftest import k4, k5, k33, prism, relabeled, unreduced_D, wheel
+from conftest import k4, k5, k33, loop_order, prism, relabeled, unreduced_D, wheel
 
 OPERATORS = (apply_d, apply_delta0, apply_nabla, apply_D, apply_Dbar)
 
@@ -42,7 +42,7 @@ def test_d_lowers_vertex_count():
     x = singleton(wheel(5))
     for key, _ in apply_d(x):
         g = graph6_decode(key)
-        assert g.n == 5 and grading_of(g).loop_order == 5
+        assert g.n == 5 and loop_order(g) == 5
 
 
 def test_delta0_needs_valence_four():
@@ -63,7 +63,7 @@ def test_nabla_raises_loop_order():
     assert not y.is_zero()
     for key, _ in y:
         g = graph6_decode(key)
-        assert grading_of(g).loop_order == grading_of(wheel(5)).loop_order + 1
+        assert loop_order(g) == loop_order(wheel(5)) + 1
         assert g.n == wheel(5).n
 
 
