@@ -15,7 +15,7 @@ required to preserve colors.  This is used for leaf-labeled graphs.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import SimpleGraph, graph6_decode, graph6_from_rows, permutation_sign
 
@@ -311,6 +311,58 @@ def _edge_perm_sign(g_edges: Sequence[tuple[int, int]], sigma: Sequence[int]) ->
         a, b = sigma[u], sigma[v]
         images.append(a * n + b if a < b else b * n + a)
     return permutation_sign(images)
+
+
+def _swap_automorphisms(
+    n: int, adj: Sequence[int], colors: Sequence[int] | None = None
+) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The color-preserving automorphisms of the form (u w) or (u w)(x y)
+    that a test without search finds, each as (permutation, odd), where odd
+    means that it permutes the edges oddly, so that the class is zero.
+
+    (u w) is an automorphism iff u and w have the same other neighbours;
+    its edge 2-cycles are the edges from u to them.  When their other
+    neighbours differ, (u w)(x y) can only be an automorphism if they differ
+    in exactly x ~ u and y ~ w, and then it is one iff x and y have the
+    same neighbours outside {u, w, x, y}.  Its edge 2-cycles are the edges
+    from u and from x to the fixed vertices, and {u x} <-> {w y}.  When u
+    and w have the same other neighbours, (u w)(x y) is an automorphism
+    only if (x y) is one too, and it is odd only if one of the two is.  So
+    if an automorphism that swaps one or two pairs is odd, an odd one is
+    reported.  A double swap is reported from both of its pairs.  A swapped pair has equal degrees and colors, which is
+    tested first.  A color sequence of the
+    wrong length gives nothing here; ``canonical_form`` rejects it."""
+    if colors is not None and len(colors) != n:
+        return
+    deg = [a.bit_count() for a in adj]
+    everyone = (1 << n) - 1
+    for u in range(n):
+        au, du = adj[u], deg[u]
+        for w in range(u + 1, n):
+            if deg[w] != du or colors is not None and colors[w] != colors[u]:
+                continue
+            pair = 1 << u | 1 << w
+            differ = (au ^ adj[w]) & ~pair
+            if not differ:
+                sigma = list(range(n))
+                sigma[u], sigma[w] = w, u
+                yield tuple(sigma), bool((au & ~pair).bit_count() & 1)
+                continue
+            xb = differ & au
+            yb = differ ^ xb
+            if xb & (xb - 1) or yb & (yb - 1) or not xb or not yb:
+                continue
+            x, y = xb.bit_length() - 1, yb.bit_length() - 1
+            if colors is not None and colors[x] != colors[y]:
+                continue
+            moved = pair | xb | yb
+            if (adj[x] ^ adj[y]) & ~moved:
+                continue
+            fixed = everyone & ~moved
+            sigma = list(range(n))
+            sigma[u], sigma[w], sigma[x], sigma[y] = w, u, y, x
+            odd = ((au & fixed).bit_count() + (adj[x] & fixed).bit_count() + 1) & 1
+            yield tuple(sigma), bool(odd)
 
 
 def canonical_form(g: SimpleGraph, colors: Sequence[int] | None = None) -> CanonicalClass:

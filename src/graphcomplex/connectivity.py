@@ -6,8 +6,8 @@ a separation pair {u, v} is a vertex u together with a cut vertex v of the
 graph with u removed, so the triconnectivity test is at most n + 1 linear
 passes.  The SPQR tree is built by recursive splitting at the least
 separation pair, which fixes the split order and hence the virtual-edge
-ids.  Split components are multigraphs internally (bonds, cycles with
-virtual placeholders); the input graph itself is always simple.
+ids.  Every split component is a simple graph of real and virtual edges
+(see `_decompose`).
 """
 
 from __future__ import annotations
@@ -176,6 +176,19 @@ def _decompose(
     """Split the part `edges`, on the vertex bitmask `verts`, into S, P and
     R skeleta, appended to out_nodes.
 
+    Every part is simple and has at least 3 vertices.  The input graph is,
+    and a split component at the pair (u, v) is a component of the part
+    minus {u, v} with u and v added back, so it has at least 3 vertices,
+    and its only u-v edge is its new virtual edge: the part has at most one
+    u-v edge, and that one goes to the hub P node.
+
+    So every P node is a hub, and no two P nodes are adjacent.  A hub's
+    virtual edge is twinned with its copy in a split component, and that
+    copy ends in an S or an R node: it could only join a hub at a later
+    split at the same pair (u, v), and {u, v} separates no part within the
+    component, since by the argument below it would then separate the
+    component, whose vertices other than u and v are connected.
+
     The part has no separation pair {a, b}, a < b, with a < first, so the
     scan for the least pair starts at `first`.  A split component at the
     least pair (u, v) gets first = u.  Deleting a separation pair {a, b}
@@ -183,30 +196,8 @@ def _decompose(
     keeps whichever of them remain together), so Y lies among the
     component's inner vertices, whose edges all belong to the component,
     and {a, b} cuts Y off in the part too; a < u would contradict the scan
-    that found (u, v).  The part left after splitting off a bond has the
-    same vertices and adjacency, hence the same pairs.
+    that found (u, v).
     """
-    if verts.bit_count() == 2:
-        out_nodes.append({"kind": "P", "edges": list(edges), "verts": verts})
-        return
-
-    # split off one maximal parallel class at a time
-    by_pair: dict[tuple[int, int], list[_PartEdge]] = {}
-    for e in edges:
-        by_pair.setdefault((e[0], e[1]), []).append(e)
-    parallel = sorted(p for p, es in by_pair.items() if len(es) >= 2)
-    if parallel:
-        u, v = parallel[0]
-        vid = next_vid[0]
-        next_vid[0] += 1
-        bond = by_pair[(u, v)] + [(u, v, ("virtual", vid))]
-        out_nodes.append({"kind": "P", "edges": bond, "verts": 1 << u | 1 << v})
-        rest = [e for e in edges if (e[0], e[1]) != (u, v)]
-        rest.append((u, v, ("virtual", vid)))
-        _decompose(rest, verts, first, next_vid, out_nodes)
-        return
-
-    # from here on the part is simple, and connected as every part is
     adj = [0] * verts.bit_length()
     for a, b, _ in edges:
         adj[a] |= 1 << b
@@ -259,7 +250,7 @@ def _decompose(
 
 
 def _fuse(nodes: list[dict]) -> list[dict]:
-    """Merge adjacent same-kind S nodes and same-kind P nodes."""
+    """Merge adjacent S nodes; no two P nodes are adjacent (`_decompose`)."""
 
     def twin_map(ns: list[dict]) -> dict[int, list[int]]:
         owner: dict[int, list[int]] = {}
@@ -276,11 +267,11 @@ def _fuse(nodes: list[dict]) -> list[dict]:
             if len(owners) != 2:
                 raise SpqrError(f"virtual edge {vid} has {len(owners)} owners")
             a, b = owners
-            if a != b and nodes[a]["kind"] == nodes[b]["kind"] and nodes[a]["kind"] in "SP":
+            if a != b and nodes[a]["kind"] == nodes[b]["kind"] == "S":
                 keep = [e for e in nodes[a]["edges"] if e[2] != ("virtual", vid)]
                 keep += [e for e in nodes[b]["edges"] if e[2] != ("virtual", vid)]
                 new = {
-                    "kind": nodes[a]["kind"],
+                    "kind": "S",
                     "edges": keep,
                     "verts": nodes[a]["verts"] | nodes[b]["verts"],
                 }

@@ -5,14 +5,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .canon import canonical_form
+from .canon import _swap_automorphisms, canonical_form
 from .graphs import SimpleGraph
 
 
 class FormalSum:
     """Finite map canon_key -> nonzero Fraction; orientation-zero classes
-    are never stored (they are rejected at insertion time by callers that
-    canonicalize)."""
+    are never stored.
+
+    ``add_graph`` drops a graph whose class is zero.  Before it canonizes a
+    graph, it looks for an odd automorphism that swaps one or two pairs of
+    vertices (``canon._swap_automorphisms``), a test without search.  The
+    test is a sufficient condition only: a graph it flags is zero and is
+    dropped uncanonized, and every other graph is canonized as before, so
+    the canonizer's zero flag decides the rest.  Keys, signs and sums are
+    the same either way."""
 
     __slots__ = ("terms",)
 
@@ -39,8 +46,11 @@ class FormalSum:
         colors: Sequence[int] | None = None,
     ) -> None:
         """Canonicalize a concrete graph (its edge sequence is the
-        orientation) and accumulate; zero classes are dropped.  Optional
-        vertex colors produce color-preserving (labeled) classes."""
+        orientation) and accumulate; zero classes are dropped, those with
+        an odd swap of one or two vertex pairs before canonization.
+        Optional vertex colors produce color-preserving (labeled) classes."""
+        if any(odd for _, odd in _swap_automorphisms(g.n, g.adj, colors)):
+            return
         cf = canonical_form(g, colors)
         if cf.is_zero:
             return

@@ -71,6 +71,7 @@ from .graphs import (
     component_masks,
     contract_edge,
     graph6_decode,
+    trusted_graph,
 )
 
 
@@ -216,7 +217,7 @@ def generate(r: int, k: int) -> ClassKeys:
         for u, v in _edge_orbit_reps(nonedges, cf.aut_generators):
             if not _has_least_degree_pair(deg, g.edges, u, v):
                 continue
-            child = build_graph(r, list(g.edges) + [(u, v)])
+            child = trusted_graph(r, list(g.edges) + [(u, v)])
             if not _feasible(child, k):
                 continue
             cfc = canonical_form(child)
@@ -259,7 +260,9 @@ def _insert_edge(
     and n + 1, and join those two: E, or B on a disjoint union."""
     (a, b), (c, d) = edges[i], edges[j]
     rest = [e for pos, e in enumerate(edges) if pos != i and pos != j]
-    return build_graph(n + 2, rest + [(a, n), (b, n), (c, n + 1), (d, n + 1), (n, n + 1)])
+    return trusted_graph(
+        n + 2, rest + [(a, n), (b, n), (c, n + 1), (d, n + 1), (n, n + 1)]
+    )
 
 
 def _insert_diamond(g: SimpleGraph, i: int) -> SimpleGraph:
@@ -268,7 +271,7 @@ def _insert_diamond(g: SimpleGraph, i: int) -> SimpleGraph:
     u, w = g.edges[i]
     a, b, c, d = range(g.n, g.n + 4)
     rest = [e for pos, e in enumerate(g.edges) if pos != i]
-    return build_graph(
+    return trusted_graph(
         g.n + 4, rest + [(u, a), (a, b), (a, c), (b, c), (b, d), (c, d), (d, w)]
     )
 

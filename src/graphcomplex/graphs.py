@@ -69,12 +69,12 @@ def build_graph(vertex_count: int, edge_list: Iterable[Sequence[int]]) -> Simple
 
     Pairs may arrive unsorted; per-pair sorting does not count as an
     orientation change.  Rejects self-edges, duplicates, and out-of-range
-    labels.
+    labels.  This is the constructor for graphs from outside the program;
+    surgery on a valid graph uses ``trusted_graph``.
     """
     if vertex_count < 0:
         raise GraphError(f"negative vertex count {vertex_count}")
     edges: list[tuple[int, int]] = []
-    adj = [0] * vertex_count
     seen: set[tuple[int, int]] = set()
     for pair in edge_list:
         u, v = pair
@@ -87,6 +87,20 @@ def build_graph(vertex_count: int, edge_list: Iterable[Sequence[int]]) -> Simple
         if (u, v) in seen:
             raise GraphError(f"duplicate edge ({u},{v})")
         seen.add((u, v))
+        edges.append((u, v))
+    return trusted_graph(vertex_count, edges)
+
+
+def trusted_graph(vertex_count: int, edge_list: Iterable[tuple[int, int]]) -> SimpleGraph:
+    """The SimpleGraph of an edge list that is already known to be simple
+    and in range, as the program's own surgery on a valid graph produces;
+    pairs may arrive unsorted, as in ``build_graph``, but nothing is
+    checked."""
+    edges = []
+    adj = [0] * vertex_count
+    for u, v in edge_list:
+        if u > v:
+            u, v = v, u
         edges.append((u, v))
         adj[u] |= 1 << v
         adj[v] |= 1 << u
@@ -117,17 +131,19 @@ def contract_edge(g: SimpleGraph, e: int) -> SimpleGraph | NonSimple:
         if i == e:
             continue
         a, b = remap(a), remap(b)
-        edges.append((a, b) if a < b else (b, a))
-    return build_graph(g.n - 1, edges)
+        edges.append((a, b))
+    return trusted_graph(g.n - 1, edges)
 
 
 def add_edge(g: SimpleGraph, u: int, v: int) -> SimpleGraph | AlreadyAdjacent:
     """Insert edge (u,v) at the FRONT of the orientation ordering."""
     if u == v:
         raise GraphError(f"self-edge at vertex {u}")
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise GraphError(f"edge ({u},{v}) out of range for {g.n} vertices")
     if g.has_edge(u, v):
         return ALREADY_ADJACENT
-    return build_graph(g.n, [(u, v)] + list(g.edges))
+    return trusted_graph(g.n, [(u, v)] + list(g.edges))
 
 
 def split_vertex(g: SimpleGraph, v: int, moved_positions: Iterable[int]) -> SimpleGraph:
@@ -141,7 +157,7 @@ def split_vertex(g: SimpleGraph, v: int, moved_positions: Iterable[int]) -> Simp
         if i in moved:
             a, b = (w if a == v else a), (w if b == v else b)
         edges.append((a, b))
-    return build_graph(g.n + 1, edges)
+    return trusted_graph(g.n + 1, edges)
 
 
 def component_masks(g: SimpleGraph) -> list[int]:

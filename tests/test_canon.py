@@ -254,3 +254,64 @@ def test_canon_keys_match_networkx_isomorphism():
                 same += iso
                 differ += not iso
     assert same > 400 and differ > 1200, (same, differ)
+
+
+def _checked_swaps(g, colors=None) -> tuple[int, int, bool]:
+    """Assert that every permutation the swap test reports is a
+    color-preserving automorphism moving two or four vertices, and that its
+    closed-form parity is the parity of its edge permutation; return the
+    numbers of odd single and odd double swaps and whether any is odd."""
+    from graphcomplex.canon import _edge_perm_sign, _swap_automorphisms
+
+    base = sorted(g.edges)
+    singles = doubles = 0
+    for sigma, odd in _swap_automorphisms(g.n, g.adj, colors):
+        moved = [v for v in range(g.n) if sigma[v] != v]
+        assert len(moved) in (2, 4) and all(sigma[sigma[v]] == v for v in moved)
+        assert relabeled(g, sigma).adj == g.adj
+        assert colors is None or all(colors[sigma[v]] == colors[v] for v in moved)
+        assert odd == (_edge_perm_sign(base, sigma) < 0)
+        if odd:
+            singles += len(moved) == 2
+            doubles += len(moved) == 4
+    flagged = bool(singles or doubles)
+    assert not flagged or canonical_form(g, colors).is_zero, (g, colors)
+    return singles, doubles, flagged
+
+
+def test_swap_test_finds_every_zero_class_through_six_vertices():
+    """Over every labeled graph on 2 to 6 vertices (33,866 graphs), the
+    search-free test of FormalSum.add_graph flags exactly the zero
+    classes, with both single and double swaps."""
+    graphs = zeros = singles = doubles = 0
+    for n in range(2, 7):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for mask in range(1 << len(pairs)):
+            g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            s, d, flagged = _checked_swaps(g)
+            assert flagged == canonical_form(g).is_zero, g
+            graphs += 1
+            zeros += flagged
+            singles += s
+            doubles += d
+    assert graphs == 33_866
+    assert zeros > 0 and singles > 0 and doubles > 0
+
+
+@pytest.mark.parametrize("colored", [False, True])
+def test_swap_test_is_sound_on_random_graphs(colored):
+    """On seeded random 7-12-vertex graphs, plain and 2-colored, a flagged
+    graph is always a zero class, and some zero classes are not flagged, so
+    the canonizer's own zero flag is still exercised."""
+    rng = random.Random(14 + colored)
+    flagged = missed = 0
+    for _ in range(1500):
+        n = rng.randint(7, 12)
+        p = rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = build_graph(n, [e for e in pairs if rng.random() < p])
+        colors = tuple(rng.randrange(2) for _ in range(n)) if colored else None
+        hit = _checked_swaps(g, colors)[2]
+        flagged += hit
+        missed += canonical_form(g, colors).is_zero and not hit
+    assert flagged > 0 and missed > 0

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from graphcomplex import FormalSum, build_graph, canonical_form, singleton
 
 from conftest import k4, relabeled, wheel
@@ -60,3 +62,6 @@ def test_colored_terms_are_distinct():
     z = FormalSum()
     z.add_graph(g, 1, colors=(1, 0, 1, 0))
     assert len(z) == 1
+    for colors in ((0, 0), (0,) * 5):
+        with pytest.raises(ValueError):
+            z.add_graph(g, 1, colors=colors)

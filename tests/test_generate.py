@@ -161,6 +161,13 @@ def test_cubic_grade_loop_order_eight_unchanged():
     )
 
 
+@pytest.mark.slow
+def test_cubic_grade_count_at_sixteen_vertices():
+    # OEIS A002851: 4,060 connected cubic graphs on 16 vertices
+    cubic = _cubic_classes(9)
+    assert (len(cubic), len(cubic.zero)) == (4060, 1564)
+
+
 def _cubic(n):
     return [graph6_decode(key) for key in sorted(generate(n, 3 * n // 2))]
 

@@ -24,7 +24,7 @@ from graphcomplex.graphs import (
     permutation_sign,
 )
 
-from conftest import k4, loop_order
+from conftest import glued_graph, k4, k33, loop_order, prism
 
 
 def test_build_rejects_bad_edges():
@@ -79,6 +79,9 @@ def test_add_edge_goes_first():
     h = add_edge(g, 1, 3)
     assert h.edges == ((1, 3), (0, 1), (2, 3))
     assert add_edge(g, 0, 1) is ALREADY_ADJACENT
+    for u, v in ((0, 4), (-1, 2)):
+        with pytest.raises(GraphError):
+            add_edge(g, u, v)
 
 
 def test_grading_k4():
@@ -156,3 +159,36 @@ def test_graph6_round_trip(g):
     back = graph6_decode(graph6_encode(g))
     assert back.n == g.n
     assert set(back.edges) == set(g.edges)
+
+
+def test_surgery_graphs_equal_their_checked_build():
+    """The surgery that builds graphs without checks (trusted_graph) gives
+    valid graphs, equal to what build_graph makes of their edges: the terms
+    of d, delta0, nabla and D on the classes of an `operators` benchmark
+    round, the terms of d, delta0 and nabla on glued SPQR samples, and the
+    E and D children of small cubic graphs."""
+    import graphcomplex.operators as ops
+    from graphcomplex.generate import _insert_diamond, _insert_edge, build_basis
+
+    def same(h):
+        assert h == build_graph(h.n, h.edges)
+
+    rng = random.Random(3)
+    rounds = [
+        graph6_decode(key)
+        for loops in (5, 6)
+        for key in build_basis(loops, 7, "biconnected").keys
+    ]
+    assert len(rounds) == 6
+    terms = (ops._contractions, ops._splittings, ops._edge_additions)
+    cases = [(g, terms + (ops._vertex_removals,)) for g in rounds]
+    cases += [(glued_graph(rng, 16), terms) for _ in range(12)]
+    for g, makers in cases:
+        for make in makers:
+            for h, _ in make(g):
+                same(h)
+    for g in (k4(), prism(), k33()):
+        for i in range(g.k):
+            same(_insert_diamond(g, i))
+            for j in range(i + 1, g.k):
+                same(_insert_edge(g.n, g.edges, i, j))
