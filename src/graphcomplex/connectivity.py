@@ -3,11 +3,15 @@
 Cut vertices come from one iterative lowpoint DFS (Hopcroft and Tarjan,
 "Dividing a graph into triconnected components", SIAM J. Comput. 2, 1973):
 a separation pair {u, v} is a vertex u together with a cut vertex v of the
-graph with u removed, so the triconnectivity test is at most n + 1 linear
-passes.  The SPQR tree is built by recursive splitting at the least
-separation pair, which fixes the split order and hence the virtual-edge
-ids.  Every split component is a simple graph of real and virtual edges
-(see `_decompose`).
+graph with u removed.  So a graph is triconnected when it passes the
+minimum-degree certificate `_dense` (no pass at all) or when none of the
+passes for the graph and each graph minus one vertex finds a cut vertex;
+`connectivity_class` stops at the first pass that does.  The SPQR tree is
+built by recursive splitting at the least separation pair, which fixes the
+split order and hence the virtual-edge ids.  Every split component is a
+simple graph of real and virtual edges; it inherits its first pass from
+its parent and skips the scan when it is a cycle or passes `_dense` (see
+`_decompose`).
 """
 
 from __future__ import annotations
@@ -76,21 +80,27 @@ def _cut_vertices(adj: Sequence[int], keep: int) -> int:
     induced on keep - {v} has two or more components.
 
     `adj[x]` is the neighbour bitmask of x.  On a connected induced graph
-    these are its articulation points; on a disconnected one, every vertex
-    except an isolated one whose deletion leaves a single component.
+    these are its articulation points: a DFS root with two or more
+    children, and any other vertex p with a child whose subtree reaches
+    no proper ancestor of p by a back edge.  On a disconnected one, every
+    vertex except an isolated one whose deletion leaves a single
+    component: all of `keep` with three or more components, and all but
+    the isolated vertices with two.
     """
     disc = [0] * len(adj)  # DFS number
     low = [0] * len(adj)  # least DFS number reachable by one back edge from the subtree
-    pieces = [0] * len(adj)  # components of (v's component) - v
-    count = 0
+    cuts = 0
+    isolated = 0
     comps = 0
+    count = 0
     todo = keep  # not yet visited
     while todo:
         root = (todo & -todo).bit_length() - 1
         todo ^= 1 << root
         comps += 1
         count += 1
-        disc[root] = low[root] = count
+        disc[root] = count
+        children = 0
         stack = [root]
         while stack:
             v = stack[-1]
@@ -100,9 +110,8 @@ def _cut_vertices(adj: Sequence[int], keep: int) -> int:
                 todo ^= 1 << w
                 count += 1
                 disc[w] = lw = count
-                pieces[w] = 1  # the part holding the parent
                 # visited neighbours other than the parent are ancestors
-                back = adj[w] & keep & ~todo & ~(1 << v)
+                back = adj[w] & (keep ^ todo) & ~(1 << v)
                 while back:
                     x = (back & -back).bit_length() - 1
                     back &= back - 1
@@ -114,18 +123,36 @@ def _cut_vertices(adj: Sequence[int], keep: int) -> int:
                 stack.pop()
                 if stack:
                     p = stack[-1]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
                     if low[v] >= disc[p]:
-                        pieces[p] += 1
-    cuts = 0
-    m = keep
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        if comps - 1 + pieces[v] >= 2:
-            cuts |= 1 << v
+                        if p == root:
+                            children += 1
+                        else:
+                            cuts |= 1 << p
+                    elif low[v] < low[p]:
+                        low[p] = low[v]
+        if children >= 2:
+            cuts |= 1 << root
+        elif not children:
+            isolated |= 1 << root
+    if comps >= 3:
+        return keep
+    if comps == 2:
+        return keep & ~isolated
     return cuts
+
+
+def _dense(n: int, min_degree: int) -> bool:
+    """Whether every simple graph on n vertices with this minimum degree
+    is triconnected: n >= 4 and 2 * min_degree > n.
+
+    Delete any two vertices {a, b}.  Two non-adjacent survivors keep at
+    least 2 * min_degree - 4 >= n - 3 edges between them into the other
+    n - 4 survivors, so they share a neighbour; the survivors are
+    connected.  Deleting one vertex or none is the same argument with more
+    room.  K4, K5, W4 and the octahedron pass, K3,3, the prism and the
+    cube do not.
+    """
+    return n >= 4 and 2 * min_degree > n
 
 
 def connectivity_class(g: SimpleGraph) -> int:
@@ -134,6 +161,8 @@ def connectivity_class(g: SimpleGraph) -> int:
         raise GraphError("connectivity_class requires a connected graph")
     if g.n < 3:
         return 1
+    if _dense(g.n, min(g.degrees())):
+        return 3
     full = (1 << g.n) - 1
     if _cut_vertices(g.adj, full):
         return 1
@@ -169,12 +198,18 @@ def _vertices(mask: int) -> list[int]:
 def _decompose(
     edges: list[_PartEdge],
     verts: int,
+    adj: list[int],
     first: int,
+    first_cuts: int | None,
     next_vid: list[int],
     out_nodes: list[dict],
 ) -> None:
     """Split the part `edges`, on the vertex bitmask `verts`, into S, P and
     R skeleta, appended to out_nodes.
+
+    `adj[x]` is the neighbour bitmask of x within the part for each x in
+    `verts`; other entries are never read.  `first_cuts`, if given, is the
+    cut-vertex mask of the part minus `first`.
 
     Every part is simple and has at least 3 vertices.  The input graph is,
     and a split component at the pair (u, v) is a component of the part
@@ -197,55 +232,96 @@ def _decompose(
     component's inner vertices, whose edges all belong to the component,
     and {a, b} cuts Y off in the part too; a < u would contradict the scan
     that found (u, v).
+
+    The component C = comp + {u, v} also inherits its first cut mask, so
+    its scan starts without a lowpoint pass: cuts(C - u) = cuts(P - u) &
+    comp for the part P.  C - u is comp + {v} with the same edges as in
+    P - u.  Deleting x in comp from P - u leaves the pieces of C - u - x,
+    with the rest of P - u hanging from v, since P - u is connected; so x
+    is a cut vertex of both or of neither.  v is one of P - u but not of
+    C - u, whose deletion leaves the connected comp.  Each component's
+    bitmasks come from the part's: comp's vertices keep theirs, and u and
+    v keep their neighbours in comp and gain each other.
+
+    A part that is not a cycle and passes `_dense` is an R node with no
+    scan; a triangle is a cycle.
     """
-    adj = [0] * verts.bit_length()
-    for a, b, _ in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    part = _vertices(verts)
-    if all(adj[x].bit_count() == 2 for x in part):
-        out_nodes.append({"kind": "S", "edges": list(edges), "verts": verts})
+    n = verts.bit_count()
+    if len(edges) == n:
+        # biconnected with as many edges as vertices: a cycle
+        out_nodes.append({"kind": "S", "edges": edges, "verts": verts})
+        return
+    # 2 * min_degree > n needs 4 * len(edges) > n * n
+    if 4 * len(edges) > n * n and _dense(
+        n, min(adj[x].bit_count() for x in _vertices(verts))
+    ):
+        out_nodes.append({"kind": "R", "edges": edges, "verts": verts})
         return
 
     # the least separation pair (u, v), u < v, is the first u such that the
     # part minus u has a cut vertex v > u, with the least v
-    split_pair = None
-    for u in part:
-        if u < first:
-            continue
-        later = _cut_vertices(adj, verts ^ (1 << u)) >> (u + 1)
+    cuts = first_cuts
+    rest = verts >> first << first
+    while rest:
+        u = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        if cuts is None:
+            cuts = _cut_vertices(adj, verts ^ (1 << u))
+        later = cuts >> (u + 1)
         if later:
-            split_pair = (u, u + (later & -later).bit_length())
+            v = u + (later & -later).bit_length()
             break
-    if split_pair is None:
-        out_nodes.append({"kind": "R", "edges": list(edges), "verts": verts})
+        cuts = None
+    else:
+        out_nodes.append({"kind": "R", "edges": edges, "verts": verts})
         return
 
-    u, v = split_pair
     pair = 1 << u | 1 << v
-    direct = [e for e in edges if (e[0], e[1]) == (u, v)]
-    # the edges of each component of the part minus {u, v}, by least vertex
-    classes: list[tuple[list[_PartEdge], int]] = []
-    for comp in mask_components(adj, verts & ~pair):
-        cls = [e for e in edges if (comp >> e[0] | comp >> e[1]) & 1]
-        classes.append((cls, comp | pair))
-    n_classes = len(classes) + (1 if direct else 0)
+    comps = mask_components(adj, verts & ~pair)
+    # the edges of each component of the part minus {u, v}, by least
+    # vertex, in one pass; an edge with no end in a component joins u and v
+    where = [-1] * len(adj)
+    for i, comp in enumerate(comps):
+        for x in _vertices(comp):
+            where[x] = i
+    classes: list[list[_PartEdge]] = [[] for _ in comps]
+    direct: list[_PartEdge] = []
+    for e in edges:
+        i = where[e[0]]
+        if i < 0:
+            i = where[e[1]]
+        if i < 0:
+            direct.append(e)
+        else:
+            classes[i].append(e)
 
-    if n_classes == 2:
+    def split_off(cls: list[_PartEdge], comp: int, vid: int) -> None:
+        child = adj.copy()
+        child[u] = adj[u] & comp | 1 << v
+        child[v] = adj[v] & comp | 1 << u
+        _decompose(
+            cls + [(u, v, ("virtual", vid))],
+            comp | pair,
+            child,
+            u,
+            cuts & comp,
+            next_vid,
+            out_nodes,
+        )
+
+    if len(comps) == 2 and not direct:
         vid = next_vid[0]
         next_vid[0] += 1
-        for cls, cls_verts in classes:
-            _decompose(
-                cls + [(u, v, ("virtual", vid))], cls_verts, u, next_vid, out_nodes
-            )
+        for cls, comp in zip(classes, comps):
+            split_off(cls, comp, vid)
         return
 
-    hub: list[_PartEdge] = list(direct)
-    for cls, cls_verts in classes:
+    hub: list[_PartEdge] = direct
+    for cls, comp in zip(classes, comps):
         vid = next_vid[0]
         next_vid[0] += 1
         hub.append((u, v, ("virtual", vid)))
-        _decompose(cls + [(u, v, ("virtual", vid))], cls_verts, u, next_vid, out_nodes)
+        split_off(cls, comp, vid)
     out_nodes.append({"kind": "P", "edges": hub, "verts": pair})
 
 
@@ -286,23 +362,22 @@ def spqr(g: SimpleGraph) -> SpqrTree:
     """The unique SPQR tree of a biconnected graph with >= 3 vertices."""
     if g.n < 3:
         raise GraphError("SPQR tree needs at least 3 vertices")
-    if not is_connected(g):
-        raise GraphError("SPQR tree requires a connected graph")
     if _cut_vertices(g.adj, (1 << g.n) - 1):
+        if not is_connected(g):
+            raise GraphError("SPQR tree requires a connected graph")
         raise GraphError("SPQR tree requires a biconnected graph")
 
     edges: list[_PartEdge] = [(u, v, ("real", (u, v))) for u, v in g.edges]
     raw: list[dict] = []
-    _decompose(edges, (1 << g.n) - 1, 0, [0], raw)
+    _decompose(edges, (1 << g.n) - 1, list(g.adj), 0, None, [0], raw)
     raw = _fuse(raw)
 
-    # deterministic node order
-    def node_key(node: dict) -> tuple:
+    # deterministic node order: kind, vertices, real edges, virtual edges
+    for node in raw:
         reals = sorted(e[:2] for e in node["edges"] if e[2][0] == "real")
         virts = sorted(e[:2] for e in node["edges"] if e[2][0] == "virtual")
-        return (node["kind"], _vertices(node["verts"]), reals, virts)
-
-    raw.sort(key=node_key)
+        node["key"] = (node["kind"], _vertices(node["verts"]), reals, virts)
+    raw.sort(key=lambda node: node["key"])
 
     # locate twins
     owner: dict[int, list[tuple[int, int]]] = {}
@@ -322,13 +397,13 @@ def spqr(g: SimpleGraph) -> SpqrTree:
             (oi, oj) = pair[0] if pair[1] == (i, j) else pair[1]
             virtuals.append(VirtualEdge(endpoints=(e[0], e[1]), twin_node=oi, twin_index=oj))
             tree_edges.add((min(i, oi), max(i, oi)))
-        reals = tuple(sorted(e[:2] for e in node["edges"] if e[2][0] == "real"))
+        kind, vertices, reals, _ = node["key"]
         nodes.append(
             SpqrNode(
                 id=i,
-                kind=node["kind"],
-                vertices=frozenset(_vertices(node["verts"])),
-                real_edges=reals,
+                kind=kind,
+                vertices=frozenset(vertices),
+                real_edges=tuple(reals),
                 virtual_edges=tuple(virtuals),
             )
         )

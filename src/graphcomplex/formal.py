@@ -30,14 +30,16 @@ class FormalSum:
                 self.add_term(key, coeff)
 
     def add_term(self, key: bytes, coeff: Fraction | int) -> None:
-        coeff = Fraction(coeff)
         if not coeff:
             return
-        new = self.terms.get(key, Fraction(0)) + coeff
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        old = self.terms.get(key)
+        new = coeff if old is None else old + coeff
         if new:
             self.terms[key] = new
         else:
-            self.terms.pop(key, None)
+            del self.terms[key]
 
     def add_graph(
         self,
@@ -54,7 +56,7 @@ class FormalSum:
         cf = canonical_form(g, colors)
         if cf.is_zero:
             return
-        self.add_term(cf.canon_key, Fraction(coeff) * cf.sign_to_canon)
+        self.add_term(cf.canon_key, coeff * cf.sign_to_canon)
 
     def __iadd__(self, other: "FormalSum") -> "FormalSum":
         for key, coeff in other.terms.items():

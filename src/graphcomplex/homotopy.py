@@ -73,11 +73,17 @@ def _transport_labels(
     old: LabeledGraph,
     new_graph: SimpleGraph,
     edge_map: dict[tuple[int, int], tuple[int, int]],
+    trees: dict[SimpleGraph, SpqrTree] | None = None,
 ) -> LabeledGraph:
     """Rebuild the tree of new_graph and re-identify each labeled leaf by
     the image of its skeleton real edges under edge_map, which takes each
-    old edge that survives to its new edge."""
-    new_tree = spqr(new_graph)
+    old edge that survives to its new edge.  `trees`, if given, holds the
+    SPQR trees already built, by graph, and gains new_graph's."""
+    if trees is None:
+        trees = {}
+    new_tree = trees.get(new_graph)
+    if new_tree is None:
+        new_tree = trees[new_graph] = spqr(new_graph)
     by_reals = {frozenset(n.real_edges): n.id for n in new_tree.nodes}
     new_ids = []
     for node_id in old.leaf_ids:
@@ -90,8 +96,11 @@ def _transport_labels(
     return LabeledGraph(graph=new_graph, tree=new_tree, leaf_ids=tuple(new_ids))
 
 
-def d_prime(lg: LabeledGraph) -> list[tuple[LabeledGraph, int]]:
-    """Edge contraction restricted to S-owned real edges, sign (-1)^(j-1)."""
+def d_prime(
+    lg: LabeledGraph, trees: dict[SimpleGraph, SpqrTree] | None = None
+) -> list[tuple[LabeledGraph, int]]:
+    """Edge contraction restricted to S-owned real edges, sign (-1)^(j-1).
+    `trees` is as in `_transport_labels`."""
     edges = lg.graph.edges
     out = []
     for j in range(lg.graph.k):
@@ -103,7 +112,7 @@ def d_prime(lg: LabeledGraph) -> list[tuple[LabeledGraph, int]]:
             continue
         # the image keeps the order of the surviving edges
         edge_map = dict(zip(edges[:j] + edges[j + 1:], image.edges))
-        out.append((_transport_labels(lg, image, edge_map), (-1) ** j))
+        out.append((_transport_labels(lg, image, edge_map, trees), (-1) ** j))
     return out
 
 
@@ -138,7 +147,10 @@ def _branch_edges_at(
 
 
 def _split_corner(
-    lg: LabeledGraph, x: int, side_positions: list[int]
+    lg: LabeledGraph,
+    x: int,
+    side_positions: list[int],
+    trees: dict[SimpleGraph, SpqrTree] | None,
 ) -> tuple[LabeledGraph, int]:
     """Split vertex x: edges at the given positions move to a new vertex
     joined to x by a new first edge; labels transport."""
@@ -147,7 +159,8 @@ def _split_corner(
     if min(new_graph.degrees()) < 3:
         raise HomotopyError(f"corner split at vertex {x} produced a <3-valent vertex")
     # the old edges follow the new first edge in their old order
-    return _transport_labels(lg, new_graph, dict(zip(g.edges, new_graph.edges[1:]))), 1
+    edge_map = dict(zip(g.edges, new_graph.edges[1:]))
+    return _transport_labels(lg, new_graph, edge_map, trees), 1
 
 
 def n_value(lg: LabeledGraph) -> int:
@@ -161,10 +174,13 @@ def n_value(lg: LabeledGraph) -> int:
     return 2
 
 
-def h_homotopy(lg: LabeledGraph) -> list[tuple[LabeledGraph, int]]:
+def h_homotopy(
+    lg: LabeledGraph, trees: dict[SimpleGraph, SpqrTree] | None = None
+) -> list[tuple[LabeledGraph, int]]:
     """Corner splits next to the first leaf: insert one real edge between
     consecutive virtual edges of the adjacent S node (or of the degenerate
-    two-virtual-edge S node when the neighbor is P or R)."""
+    two-virtual-edge S node when the neighbor is P or R).  `trees` is as
+    in `_transport_labels`."""
     tree = lg.tree
     first = lg.leaf_ids[0]
     (w_id,) = tree.neighbors(first)
@@ -187,14 +203,14 @@ def h_homotopy(lg: LabeledGraph) -> list[tuple[LabeledGraph, int]]:
             side = _branch_edges_at(
                 lg, x, _subtree_nodes(tree, ve_b.twin_node, w_id)
             )
-            out.append(_split_corner(lg, x, side))
+            out.append(_split_corner(lg, x, side, trees))
     else:
         # degenerate S node on the V-W tree edge: two corners, the poles
         (ve,) = tree.node(first).virtual_edges
         v_side_nodes = _subtree_nodes(tree, first, w_id)
         for x in sorted(ve.endpoints):
             side = _branch_edges_at(lg, x, v_side_nodes)
-            out.append(_split_corner(lg, x, side))
+            out.append(_split_corner(lg, x, side, trees))
     return out
 
 
@@ -206,13 +222,18 @@ def labeled_sum(terms: list[tuple[LabeledGraph, int | Fraction]]) -> FormalSum:
 
 
 def homotopy_check(lg: LabeledGraph) -> dict:
-    """Exact check of d'h(gamma) + h(d'gamma) = N_gamma * gamma."""
+    """Exact check of d'h(gamma) + h(d'gamma) = N_gamma * gamma.
+
+    The d'h and hd' terms share many graphs, and some d'h terms are gamma
+    itself, so one dict of SPQR trees by graph, starting from gamma's,
+    serves the whole check and is dropped with it."""
+    trees = {lg.graph: lg.tree}
     lhs = FormalSum()
-    for hterm, hsign in h_homotopy(lg):
-        for dterm, dsign in d_prime(hterm):
+    for hterm, hsign in h_homotopy(lg, trees):
+        for dterm, dsign in d_prime(hterm, trees):
             lhs.add_graph(dterm.graph, hsign * dsign, colors=dterm.colors())
-    for dterm, dsign in d_prime(lg):
-        for hterm, hsign in h_homotopy(dterm):
+    for dterm, dsign in d_prime(lg, trees):
+        for hterm, hsign in h_homotopy(dterm, trees):
             lhs.add_graph(hterm.graph, dsign * hsign, colors=hterm.colors())
     n = n_value(lg)
     rhs = labeled_sum([(lg, n)])

@@ -16,7 +16,10 @@ from graphcomplex import (
     separation_pairs,
     spqr,
 )
+from graphcomplex import connectivity
 from graphcomplex.connectivity import (
+    _cut_vertices,
+    _dense,
     contraction_case_failures,
     roundtrip_failures,
     tree_to_json,
@@ -92,6 +95,90 @@ def test_connectivity_class_matches_networkx_on_glued_graphs():
         seen.add(expected)
         assert connectivity_class(g) == expected, g
     assert seen == {1, 2, 3}
+
+
+def _pieces_without(adj, keep, v):
+    """Components of the graph induced on keep - {v}, by search over sets."""
+    rest = {x for x in range(len(adj)) if keep >> x & 1} - {v}
+    pieces = 0
+    while rest:
+        pieces += 1
+        stack = [rest.pop()]
+        while stack:
+            x = stack.pop()
+            for y in [y for y in rest if adj[x] >> y & 1]:
+                rest.discard(y)
+                stack.append(y)
+    return pieces
+
+
+def test_cut_vertices_match_deletion_oracle():
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(3000):
+        n = rng.randint(0, 11)
+        p = rng.uniform(0.05, 0.8)
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        # a random keep mask: empty, single-vertex, full or arbitrary
+        keep = rng.choice([0, 1 << rng.randrange(n) if n else 0, (1 << n) - 1,
+                           rng.getrandbits(n) if n else 0])
+        expected = sum(1 << v for v in range(n)
+                       if keep >> v & 1 and _pieces_without(adj, keep, v) >= 2)
+        assert _cut_vertices(adj, keep) == expected, (adj, keep)
+        kinds.add(min(_pieces_without(adj, keep, -1), 3))
+    assert kinds == {0, 1, 2, 3}  # empty, connected and disconnected masks
+
+
+def _all_graphs(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for bits in range(1 << len(pairs)):
+        yield build_graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def _assert_dense_is_r(g):
+    assert oracle_connectivity_class(g) == 3, g
+    assert connectivity_class(g) == 3
+    assert [n.kind for n in spqr(g).nodes] == ["R"]
+
+
+def test_min_degree_certificate_on_small_and_random_graphs():
+    dense = [g for n in range(1, 7) for g in _all_graphs(n)
+             if _dense(g.n, min(g.degrees()))]
+    # K4; K5 less a matching (1 + 10 + 15); K6 less a matching (1 + 15 + 45 + 15)
+    assert len(dense) == 1 + 26 + 76
+    for g in dense:
+        _assert_dense_is_r(g)
+    rng = random.Random(43)
+    found = 0
+    while found < 300:
+        n = rng.randint(4, 14)
+        p = rng.uniform(0.5, 0.95)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        if _dense(g.n, min(g.degrees())):
+            found += 1
+            _assert_dense_is_r(g)
+
+
+def test_spqr_lowpoint_pass_budget(monkeypatch):
+    """Deterministic work guard: the number of `_cut_vertices` passes that
+    `spqr` makes on the digest sample (7,753 before the inherited cut masks
+    and the degree certificate)."""
+    passes = [0]
+
+    def counting(adj, keep):
+        passes[0] += 1
+        return _cut_vertices(adj, keep)
+
+    monkeypatch.setattr(connectivity, "_cut_vertices", counting)
+    for g in biconnected_samples(500, seed=31):
+        spqr(g)
+    assert passes[0] <= 6120
 
 
 def test_spqr_and_separation_pairs_output_digests():

@@ -47,6 +47,20 @@ def test_linear_arithmetic():
     assert a == singleton(k4(), Fraction(1, 2))
 
 
+def test_coefficients_are_stored_as_fractions():
+    x = FormalSum()
+    x.add_term(b"a", 2)
+    x.add_term(b"b", Fraction(1, 3))
+    x.add_term(b"b", Fraction(2, 3))
+    x.add_term(b"c", 0)
+    assert x.terms == {b"a": 2, b"b": 1}
+    assert all(type(c) is Fraction for c in x.terms.values())
+    x.add_term(b"b", -1)
+    assert x.terms == {b"a": 2}
+    x.add_graph(k4(), 3)
+    assert type(x.coefficient(canonical_form(k4()).canon_key)) is Fraction
+
+
 def test_colored_terms_are_distinct():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     x = FormalSum()

@@ -16,6 +16,7 @@ from graphcomplex import (
     to_labeled,
 )
 from graphcomplex.graphs import GraphError
+from graphcomplex import homotopy
 from graphcomplex.homotopy import HomotopyError, labeled_sum, shuffled_leaf_failures
 from graphcomplex.sampling import nontri_samples
 
@@ -57,6 +58,29 @@ def test_mid_graph_homotopy_both_orders():
     leaves = to_labeled(g).leaf_ids
     for order in permutations(leaves):
         assert homotopy_check(to_labeled(g, order))["passed"]
+
+
+def test_homotopy_check_builds_one_tree_per_distinct_graph(monkeypatch):
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return spqr(g)
+
+    monkeypatch.setattr(homotopy, "spqr", counting)
+    for g in (fig1_graph(), mid_graph()):
+        lg = to_labeled(g)
+        built.clear()
+        assert homotopy_check(lg)["passed"]
+        checked = list(built)
+        # the same terms without a tree dict build some graphs twice
+        built.clear()
+        for hterm, _ in h_homotopy(lg):
+            d_prime(hterm)
+        for dterm, _ in d_prime(lg):
+            h_homotopy(dterm)
+        assert len(set(built)) < len(built)
+        assert sorted(checked) == sorted(set(built) - {g})
 
 
 def test_homotopy_random_sweep():
