@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import SimpleGraph, graph6_decode, graph6_from_rows, permutation_sign
+from .graphs import SimpleGraph, graph6_from_rows, permutation_sign
 
 
 class CanonicalClass(NamedTuple):
@@ -34,11 +34,6 @@ class CanonicalClass(NamedTuple):
     is_zero: bool
     aut_generators: tuple[tuple[int, ...], ...]
     relabel: tuple[int, ...]
-
-    @property
-    def canon_graph(self) -> SimpleGraph:
-        """The canonically relabeled graph, edges in lexicographic order."""
-        return graph6_decode(self.canon_key.split(b"#")[0])
 
 
 def _refine(

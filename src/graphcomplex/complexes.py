@@ -28,7 +28,8 @@ def matrix_of(image, source: Basis, target: Basis) -> SparseRationalMatrix:
     per source class; ``image(key)`` gives the operator's value on one class
     as (class key, coefficient) pairs.  A term absent from the target basis
     is dropped when the target is a quotient variant (it lies below the
-    connectivity threshold) and raises ComplexError when it is full."""
+    connectivity threshold) and raises ComplexError when it is full.  Every
+    coefficient must be an integer; a fractional one raises ComplexError."""
     m = SparseRationalMatrix(len(target), len(source))
     for col, key in enumerate(source.keys):
         for ikey, coeff in image(key):
@@ -37,7 +38,9 @@ def matrix_of(image, source: Basis, target: Basis) -> SparseRationalMatrix:
                 if target.variant == "full":
                     raise ComplexError(f"image {ikey!r} missing from full basis")
                 continue
-            m.add(row, col, coeff)
+            if coeff.denominator != 1:
+                raise ComplexError(f"non-integral coefficient {coeff} of image {ikey!r}")
+            m.add(row, col, int(coeff))
     return m
 
 
@@ -141,13 +144,11 @@ def verify_theorem1(g: int) -> Theorem1Report:
     return Theorem1Report(loop_order=g, reports=reports, passed=passed)
 
 
-def table1_rows(
-    max_vertices: int, loop_order: int = 10
-) -> list[tuple[int, int, int, int]]:
+def table1_rows(max_vertices: int) -> list[tuple[int, int, int, int]]:
     """(vertex count, dim full, dim bi, dim tri) rows of the loop-order-10
     dimension table, for vertex counts 6..max_vertices."""
     rows = []
     for r in range(6, max_vertices + 1):
-        dims = tuple(len(build_basis(loop_order, r, v)) for v in VARIANTS)
+        dims = tuple(len(build_basis(10, r, v)) for v in VARIANTS)
         rows.append((r, *dims))
     return rows

@@ -254,9 +254,10 @@ def shuffled_leaf_failures(
     rng = random.Random(seed)
     failures = []
     for g in samples:
-        order = list(to_labeled(g).leaf_ids)
+        lg = to_labeled(g)
+        order = list(lg.leaf_ids)
         rng.shuffle(order)
-        lg = to_labeled(g, tuple(order))
+        lg = lg._replace(leaf_ids=tuple(order))
         rep = homotopy_check(lg)
         if not rep["passed"]:
             failures.append((lg, rep))

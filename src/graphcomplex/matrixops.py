@@ -1,37 +1,33 @@
-"""Exact sparse matrices over Q and rank computation.
+"""Exact sparse integer matrices and their rank over Q.
 
-The rank is computed by fraction-free integer elimination (cross-multiply
-and strip the row content) with Markowitz-style pivot selection.
+Every operator matrix the program builds has integer entries.  The rank is
+computed by fraction-free integer elimination (cross-multiply and strip the
+row content) with Markowitz-style pivot selection.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
 class SparseRationalMatrix:
+    """A sparse matrix with integer entries, ranked over Q."""
+
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int) -> None:
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], int] = {}
 
-    def set(self, i: int, j: int, value: Fraction | int) -> None:
-        value = Fraction(value)
+    def add(self, i: int, j: int, value: int) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        if value:
-            self.entries[(i, j)] = value
+        total = self.entries.get((i, j), 0) + value
+        if total:
+            self.entries[(i, j)] = total
         else:
             self.entries.pop((i, j), None)
-
-    def add(self, i: int, j: int, value: Fraction | int) -> None:
-        self.set(i, j, self.entries.get((i, j), Fraction(0)) + Fraction(value))
-
-    def get(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -42,52 +38,30 @@ class SparseRationalMatrix:
     def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        by_row: dict[int, list[tuple[int, int]]] = {}
         for (i, j), v in other.entries.items():
             by_row.setdefault(i, []).append((j, v))
         out = SparseRationalMatrix(self.rows, other.cols)
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], int] = {}
         for (i, j), v in self.entries.items():
             for jj, w in by_row.get(j, ()):
                 key = (i, jj)
-                acc[key] = acc.get(key, Fraction(0)) + v * w
+                acc[key] = acc.get(key, 0) + v * w
         for key, v in acc.items():
             if v:
                 out.entries[key] = v
         return out
 
-    def transpose(self) -> "SparseRationalMatrix":
-        out = SparseRationalMatrix(self.cols, self.rows)
-        for (i, j), v in self.entries.items():
-            out.entries[(j, i)] = v
-        return out
-
-    def integer_rows(self) -> list[dict[int, int]]:
-        """Rows scaled to integers with content removed (rank-preserving)."""
-        rows: list[dict[int, int]] = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        out = []
-        for row in rows:
-            if not row:
-                out.append({})
-                continue
-            denom = 1
-            for v in row.values():
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-            ints = {j: int(v * denom) for j, v in row.items()}
-            content = 0
-            for v in ints.values():
-                content = gcd(content, abs(v))
-            if content > 1:
-                ints = {j: v // content for j, v in ints.items()}
-            out.append(ints)
-        return out
-
 
 def exact_rank(m: SparseRationalMatrix) -> int:
     """Rank over Q by fraction-free integer elimination, Markowitz pivoting."""
-    rows = [r for r in m.integer_rows() if r]
+    by_row: dict[int, dict[int, int]] = {}
+    for (i, j), v in m.entries.items():
+        by_row.setdefault(i, {})[j] = v
+    rows = []
+    for i in sorted(by_row):
+        content = gcd(*by_row[i].values())
+        rows.append({j: v // content for j, v in by_row[i].items()})
     rank = 0
     while rows:
         col_count: dict[int, int] = {}
@@ -123,10 +97,7 @@ def exact_rank(m: SparseRationalMatrix) -> int:
                     continue
                 combined[j] = combined.get(j, 0) - v * coef
             # integer cross-multiplication; content removal bounds growth
-            content = 0
-            for v in combined.values():
-                if v:
-                    content = gcd(content, abs(v))
+            content = gcd(*combined.values())
             if content:
                 new_rows.append(
                     {j: v // content for j, v in combined.items() if v}

@@ -15,12 +15,11 @@ from .generate import graded_classes
 from .graphs import SimpleGraph, build_graph, graph6_decode, is_connected
 
 
-def random_biconnected(
-    rng: random.Random, min_vertices: int = 4, max_vertices: int = 10
-) -> SimpleGraph:
-    """One biconnected graph by rejection from the Erdos-Renyi model."""
+def random_biconnected(rng: random.Random) -> SimpleGraph:
+    """One biconnected graph on 4..10 vertices by rejection from the
+    Erdos-Renyi model."""
     while True:
-        n = rng.randint(min_vertices, max_vertices)
+        n = rng.randint(4, 10)
         p = rng.uniform(0.3, 0.8)
         edges = [
             (u, v)
@@ -38,13 +37,9 @@ def random_biconnected(
             return g
 
 
-def biconnected_samples(
-    count: int, seed: int, min_vertices: int = 4, max_vertices: int = 10
-) -> list[SimpleGraph]:
+def biconnected_samples(count: int, seed: int) -> list[SimpleGraph]:
     rng = random.Random(seed)
-    return [
-        random_biconnected(rng, min_vertices, max_vertices) for _ in range(count)
-    ]
+    return [random_biconnected(rng) for _ in range(count)]
 
 
 def nontri_pool(max_loops: int = 6) -> list[bytes]:

@@ -117,8 +117,8 @@ def test_4_adjointness(g):
         delta = matrix_of(_delta0_image, lower, upper)  # delta0: lower -> upper
         for i, up_key in enumerate(upper.keys):
             for j, low_key in enumerate(lower.keys):
-                lhs = delta.get(i, j) * aut_order(up_key)
-                rhs = m.get(j, i) * aut_order(low_key)
+                lhs = delta.entries.get((i, j), 0) * aut_order(up_key)
+                rhs = m.entries.get((j, i), 0) * aut_order(low_key)
                 assert lhs == rhs, (g, r, up_key, low_key)
 
 

@@ -1,6 +1,8 @@
 """Graded differentials and exact cohomology dimensions."""
 
 import hashlib
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +13,7 @@ from graphcomplex import (
     grade_range,
     verify_theorem1,
 )
-from graphcomplex.complexes import VARIANTS
+from graphcomplex.complexes import VARIANTS, ComplexError, matrix_of
 from graphcomplex.graphs import GraphError
 
 
@@ -43,8 +45,23 @@ def test_differential_entries_are_signs_or_small_sums():
     m = differential_matrix(src, tgt)
     # column support: at most one image per edge of the source graph
     for (_, col), v in m.entries.items():
-        assert v.denominator == 1
+        assert type(v) is int
         assert abs(v) <= src.loop_order + src.vertex_count - 1
+    assert m.entries
+
+
+def test_matrix_of_rejects_a_fractional_coefficient():
+    basis = build_basis(5, 7)
+    key = basis.keys[-1]
+
+    def image(k):
+        return [(key, Fraction(1, 2))] if k == key else []
+
+    with pytest.raises(ComplexError, match=re.escape(repr(key))):
+        matrix_of(image, basis, basis)
+    # an integral Fraction enters as an int
+    m = matrix_of(lambda k: [(k, Fraction(-2))], basis, basis)
+    assert set(map(type, m.entries.values())) == {int}
 
 
 @pytest.mark.parametrize("g,expected", [(3, {0: 1}), (4, {}), (5, {0: 1})])

@@ -83,6 +83,29 @@ def test_homotopy_check_builds_one_tree_per_distinct_graph(monkeypatch):
         assert sorted(checked) == sorted(set(built) - {g})
 
 
+def test_shuffled_leaf_failures_builds_each_sample_once(monkeypatch):
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return spqr(g)
+
+    checked = []
+
+    def check(lg):
+        checked.append(lg)
+        return {"passed": True}
+
+    samples = nontri_samples(12, seed=2, max_loops=6)
+    monkeypatch.setattr(homotopy, "spqr", counting)
+    monkeypatch.setattr(homotopy, "homotopy_check", check)
+    assert not shuffled_leaf_failures(samples, 2)
+    assert built == samples
+    assert [lg.graph for lg in checked] == samples
+    for lg in checked:
+        assert sorted(lg.leaf_ids) == sorted(lg.tree.leaves())
+
+
 def test_homotopy_random_sweep():
     assert not shuffled_leaf_failures(nontri_samples(60, seed=2, max_loops=6), 2)
 
