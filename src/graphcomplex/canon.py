@@ -131,6 +131,29 @@ def _orbit_roots(n: int, perms: Sequence[Sequence[int]]) -> list[int]:
     return parent
 
 
+def _orbit_reps(n: int, perms: Sequence[Sequence[int]]) -> list[int]:
+    """The least index of each orbit of range(n) under ``perms``, ascending."""
+    roots = _orbit_roots(n, perms)
+    return [i for i in range(n) if roots[i] == i]
+
+
+def _pair_perms(
+    items: Sequence[tuple[int, int]], gens: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The permutations of the index set of `items`, a sequence of ordered
+    pairs a < b, that the given permutations induce; they must map `items`
+    onto itself."""
+    index = {e: i for i, e in enumerate(items)}
+    perms = []
+    for g in gens:
+        perm = []
+        for u, v in items:
+            u, v = g[u], g[v]
+            perm.append(index[(u, v) if u < v else (v, u)])
+        perms.append(perm)
+    return perms
+
+
 class _Search:
     """One canonical-labeling run; collects automorphism generators."""
 

@@ -153,50 +153,48 @@ def _verify_theorem1(args) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _identity_line(suite: str, rep: dict) -> str:
-    """One report line of an identity suite; a failing one names its first
-    failed sample and the least term that did not cancel."""
-    line = f"{suite}\t{rep['identity']}\t{rep['passed']}/{rep['samples']}\t"
-    if not rep["failures"]:
-        return line + "PASS"
-    sample, (term, coeff) = rep["failures"][0]
-    return line + f"FAIL\t{sample}\t{coeff}*{term}"
+# the identities of each suite, each checked on the basis of its variant
+# up to --max-loops
+IDENTITY_SUITES = {
+    "kwz": [("square_zero", "full")],
+    "zivkovic": [
+        ("delta0_D", "full"), ("D_squared", "full"), ("nabla_D", "full"),
+        ("Dbar_squared", "biconnected"), ("nabla_Dbar", "biconnected"),
+    ],
+    "deltak": [("delta3", "biconnected"), ("delta4", "biconnected")],
+}
 
 
-def _verify_kwz(args) -> tuple[bool, list[str]]:
-    keys = basis_keys(args.max_loops, "full")
-    rep = ops.identity_suite("square_zero", keys)
-    return not rep["failures"], [_identity_line("kwz", rep)]
-
-
-def _verify_zivkovic(args) -> tuple[bool, list[str]]:
-    keys = basis_keys(args.max_loops, "full")
-    bikeys = basis_keys(args.max_loops, "biconnected")
+def _verify_identities(args) -> tuple[bool, list[str]]:
+    """One line per identity; a failing one names its first failed sample
+    and the least term that did not cancel."""
+    suite = IDENTITY_SUITES[args.suite]
+    keys = {variant: basis_keys(args.max_loops, variant) for _, variant in suite}
     lines = []
     ok = True
-    for name, sample in [
-        ("delta0_D", keys), ("D_squared", keys), ("nabla_D", keys),
-        ("Dbar_squared", bikeys), ("nabla_Dbar", bikeys),
-    ]:
-        rep = ops.identity_suite(name, sample)
-        ok &= not rep["failures"]
-        lines.append(_identity_line("zivkovic", rep))
+    for name, variant in suite:
+        rep = ops.identity_suite(name, keys[variant])
+        line = f"{args.suite}\t{name}\t{rep['passed']}/{rep['samples']}\t"
+        if rep["failures"]:
+            ok = False
+            sample, (term, coeff) = rep["failures"][0]
+            line += f"FAIL\t{sample}\t{coeff}*{term}"
+        else:
+            line += "PASS"
+        lines.append(line)
     return ok, lines
 
 
-def _verify_deltak(args) -> tuple[bool, list[str]]:
-    bikeys = basis_keys(args.max_loops, "biconnected")
-    lines = []
-    ok = True
-    for name in ("delta3", "delta4"):
-        rep = ops.identity_suite(name, bikeys)
-        ok &= not rep["failures"]
-        lines.append(_identity_line("deltak", rep))
-    return ok, lines
+def _pool_samples(args) -> list:
+    """`nontri_samples` for the options; an empty pool names --max-loops."""
+    try:
+        return nontri_samples(args.samples, args.seed, args.max_loops)
+    except ValueError as exc:
+        raise ValueError(f"--max-loops {args.max_loops}: {exc}") from None
 
 
 def _verify_homotopy(args) -> tuple[bool, list[str]]:
-    samples = nontri_samples(args.samples, args.seed, args.max_loops)
+    samples = _pool_samples(args)
     failures = hom.shuffled_leaf_failures(samples, args.seed + 1)
     passed = len(samples) - len(failures)
     lines = [f"homotopy\t{'FAIL' if failures else 'PASS'} {passed}/{len(samples)}"]
@@ -222,7 +220,7 @@ def _verify_spqr_roundtrip(args) -> tuple[bool, list[str]]:
 def _verify_contraction_case(args) -> tuple[bool, list[str]]:
     """A failing run names its first failed sample, edge position and
     predicted case."""
-    samples = nontri_samples(args.samples, args.seed, args.max_loops)
+    samples = _pool_samples(args)
     checked, failures = contraction_case_failures(samples)
     line = (f"contraction-case\t{'FAIL' if failures else 'PASS'}\t"
             f"{checked - len(failures)}/{checked} edges")
@@ -235,9 +233,7 @@ def _verify_contraction_case(args) -> tuple[bool, list[str]]:
 VERIFIERS = {
     "d2": _verify_d2,
     "theorem1": _verify_theorem1,
-    "kwz": _verify_kwz,
-    "zivkovic": _verify_zivkovic,
-    "deltak": _verify_deltak,
+    **{suite: _verify_identities for suite in IDENTITY_SUITES},
     "homotopy": _verify_homotopy,
     "spqr-roundtrip": _verify_spqr_roundtrip,
     "contraction-case": _verify_contraction_case,

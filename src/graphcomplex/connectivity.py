@@ -30,8 +30,9 @@ from .graphs import (
     mask_components,
 )
 
-# internal part edge: (u, v, tag); tag = ("real", (gu, gv)) | ("virtual", vid)
-_PartEdge = tuple[int, int, tuple]
+# internal part edge: (u, v, vid), u < v, with vid None for a real edge; parts
+# never relabel vertices, so a real edge is its own graph edge
+_PartEdge = tuple[int, int, "int | None"]
 
 
 class SpqrError(ValueError):
@@ -61,18 +62,13 @@ class SpqrTree(NamedTuple):
         return self.nodes[node_id]
 
     def neighbors(self, node_id: int) -> list[int]:
-        out = []
-        for a, b in self.tree_edges:
-            if a == node_id:
-                out.append(b)
-            elif b == node_id:
-                out.append(a)
-        return out
+        """The tree neighbours of a node, ascending: one per virtual edge."""
+        return sorted([ve.twin_node for ve in self.nodes[node_id].virtual_edges])
 
     def leaves(self) -> list[int]:
         if len(self.nodes) == 1:
             return [self.nodes[0].id]
-        return [n.id for n in self.nodes if len(self.neighbors(n.id)) == 1]
+        return [n.id for n in self.nodes if len(n.virtual_edges) == 1]
 
 
 def _cut_vertices(adj: Sequence[int], keep: int) -> int:
@@ -202,7 +198,7 @@ def _decompose(
     first: int,
     first_cuts: int | None,
     next_vid: list[int],
-    out_nodes: list[dict],
+    out_nodes: list[tuple[str, list[_PartEdge], int]],
 ) -> None:
     """Split the part `edges`, on the vertex bitmask `verts`, into S, P and
     R skeleta, appended to out_nodes.
@@ -249,13 +245,13 @@ def _decompose(
     n = verts.bit_count()
     if len(edges) == n:
         # biconnected with as many edges as vertices: a cycle
-        out_nodes.append({"kind": "S", "edges": edges, "verts": verts})
+        out_nodes.append(("S", edges, verts))
         return
     # 2 * min_degree > n needs 4 * len(edges) > n * n
     if 4 * len(edges) > n * n and _dense(
         n, min(adj[x].bit_count() for x in _vertices(verts))
     ):
-        out_nodes.append({"kind": "R", "edges": edges, "verts": verts})
+        out_nodes.append(("R", edges, verts))
         return
 
     # the least separation pair (u, v), u < v, is the first u such that the
@@ -273,7 +269,7 @@ def _decompose(
             break
         cuts = None
     else:
-        out_nodes.append({"kind": "R", "edges": edges, "verts": verts})
+        out_nodes.append(("R", edges, verts))
         return
 
     pair = 1 << u | 1 << v
@@ -300,7 +296,7 @@ def _decompose(
         child[u] = adj[u] & comp | 1 << v
         child[v] = adj[v] & comp | 1 << u
         _decompose(
-            cls + [(u, v, ("virtual", vid))],
+            cls + [(u, v, vid)],
             comp | pair,
             child,
             u,
@@ -320,42 +316,51 @@ def _decompose(
     for cls, comp in zip(classes, comps):
         vid = next_vid[0]
         next_vid[0] += 1
-        hub.append((u, v, ("virtual", vid)))
+        hub.append((u, v, vid))
         split_off(cls, comp, vid)
-    out_nodes.append({"kind": "P", "edges": hub, "verts": pair})
+    out_nodes.append(("P", hub, pair))
 
 
-def _fuse(nodes: list[dict]) -> list[dict]:
-    """Merge adjacent S nodes; no two P nodes are adjacent (`_decompose`)."""
+def _fuse(parts: list[tuple[str, list[_PartEdge], int]]) -> list[tuple]:
+    """The tree nodes as (kind, vertices, real edges, virtual edges), each
+    list ascending: every group of S parts joined by virtual edges becomes
+    one S node without the group's inner virtual edges.  No two P parts
+    are adjacent (`_decompose`)."""
+    owners: dict[int, list[int]] = {}
+    for i, (_, edges, _) in enumerate(parts):
+        for _, _, vid in edges:
+            if vid is not None:
+                owners.setdefault(vid, []).append(i)
+    group = list(range(len(parts)))
 
-    def twin_map(ns: list[dict]) -> dict[int, list[int]]:
-        owner: dict[int, list[int]] = {}
-        for i, node in enumerate(ns):
-            for _, _, tag in node["edges"]:
-                if tag[0] == "virtual":
-                    owner.setdefault(tag[1], []).append(i)
-        return owner
+    def find(x: int) -> int:
+        while group[x] != x:
+            group[x] = group[group[x]]
+            x = group[x]
+        return x
 
-    while True:
-        owner = twin_map(nodes)
-        merged = False
-        for vid, owners in sorted(owner.items()):
-            if len(owners) != 2:
-                raise SpqrError(f"virtual edge {vid} has {len(owners)} owners")
-            a, b = owners
-            if a != b and nodes[a]["kind"] == nodes[b]["kind"] == "S":
-                keep = [e for e in nodes[a]["edges"] if e[2] != ("virtual", vid)]
-                keep += [e for e in nodes[b]["edges"] if e[2] != ("virtual", vid)]
-                new = {
-                    "kind": "S",
-                    "edges": keep,
-                    "verts": nodes[a]["verts"] | nodes[b]["verts"],
-                }
-                nodes = [n for i, n in enumerate(nodes) if i not in (a, b)] + [new]
-                merged = True
-                break
-        if not merged:
-            return nodes
+    inner = set()
+    for vid, ends in sorted(owners.items()):
+        if len(ends) != 2:
+            raise SpqrError(f"virtual edge {vid} has {len(ends)} owners")
+        a, b = ends
+        if parts[a][0] == parts[b][0] == "S":
+            inner.add(vid)
+            group[find(a)] = find(b)
+
+    merged: dict[int, list] = {}
+    for i, (kind, edges, verts) in enumerate(parts):
+        node = merged.setdefault(find(i), [kind, 0, [], []])
+        node[1] |= verts
+        for e in edges:
+            if e[2] is None:
+                node[2].append(e[:2])
+            elif e[2] not in inner:
+                node[3].append(e)
+    return [
+        (kind, _vertices(verts), sorted(reals), sorted(virtuals))
+        for kind, verts, reals, virtuals in merged.values()
+    ]
 
 
 def spqr(g: SimpleGraph) -> SpqrTree:
@@ -367,46 +372,32 @@ def spqr(g: SimpleGraph) -> SpqrTree:
             raise GraphError("SPQR tree requires a connected graph")
         raise GraphError("SPQR tree requires a biconnected graph")
 
-    edges: list[_PartEdge] = [(u, v, ("real", (u, v))) for u, v in g.edges]
-    raw: list[dict] = []
-    _decompose(edges, (1 << g.n) - 1, list(g.adj), 0, None, [0], raw)
-    raw = _fuse(raw)
-
-    # deterministic node order: kind, vertices, real edges, virtual edges
-    for node in raw:
-        reals = sorted(e[:2] for e in node["edges"] if e[2][0] == "real")
-        virts = sorted(e[:2] for e in node["edges"] if e[2][0] == "virtual")
-        node["key"] = (node["kind"], _vertices(node["verts"]), reals, virts)
-    raw.sort(key=lambda node: node["key"])
+    parts: list[tuple[str, list[_PartEdge], int]] = []
+    edges: list[_PartEdge] = [(u, v, None) for u, v in g.edges]
+    _decompose(edges, (1 << g.n) - 1, list(g.adj), 0, None, [0], parts)
+    # deterministic node order: kind, vertices, real edges, virtual-edge
+    # endpoints
+    raw = sorted(
+        _fuse(parts), key=lambda node: (*node[:3], [e[:2] for e in node[3]])
+    )
 
     # locate twins
     owner: dict[int, list[tuple[int, int]]] = {}
     for i, node in enumerate(raw):
-        vlist = [e for e in node["edges"] if e[2][0] == "virtual"]
-        vlist.sort(key=lambda e: (e[0], e[1], e[2][1]))
-        node["virtuals"] = vlist
-        for j, e in enumerate(vlist):
-            owner.setdefault(e[2][1], []).append((i, j))
+        for j, e in enumerate(node[3]):
+            owner.setdefault(e[2], []).append((i, j))
 
     nodes = []
-    tree_edges = set()
-    for i, node in enumerate(raw):
+    tree_edges = []
+    for i, (kind, vertices, reals, virts) in enumerate(raw):
         virtuals = []
-        for j, e in enumerate(node["virtuals"]):
-            pair = owner[e[2][1]]
+        for j, (u, v, vid) in enumerate(virts):
+            pair = owner[vid]
             (oi, oj) = pair[0] if pair[1] == (i, j) else pair[1]
-            virtuals.append(VirtualEdge(endpoints=(e[0], e[1]), twin_node=oi, twin_index=oj))
-            tree_edges.add((min(i, oi), max(i, oi)))
-        kind, vertices, reals, _ = node["key"]
-        nodes.append(
-            SpqrNode(
-                id=i,
-                kind=kind,
-                vertices=frozenset(vertices),
-                real_edges=tuple(reals),
-                virtual_edges=tuple(virtuals),
-            )
-        )
+            virtuals.append(VirtualEdge(endpoints=(u, v), twin_node=oi, twin_index=oj))
+            if i < oi:
+                tree_edges.append((i, oi))
+        nodes.append(SpqrNode(i, kind, frozenset(vertices), tuple(reals), tuple(virtuals)))
     return SpqrTree(graph=g, nodes=tuple(nodes), tree_edges=tuple(sorted(tree_edges)))
 
 

@@ -61,7 +61,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .canon import CanonicalClass, _orbit_roots, canonical_form
+from .canon import CanonicalClass, _orbit_reps, _orbit_roots, _pair_perms, canonical_form
 from .connectivity import connectivity_class
 from .graphs import (
     NonSimple,
@@ -107,39 +107,13 @@ def _feasible(g: SimpleGraph, k: int) -> bool:
     return True
 
 
-def _pair_perms(
-    items: Sequence[tuple[int, int]], gens: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """The permutations of the index set of `items`, a sequence of ordered
-    pairs a < b, that the given permutations induce; they must map `items`
-    onto itself."""
-    index = {e: i for i, e in enumerate(items)}
-    perms = []
-    for g in gens:
-        perm = []
-        for u, v in items:
-            u, v = g[u], g[v]
-            perm.append(index[(u, v) if u < v else (v, u)])
-        perms.append(perm)
-    return perms
-
-
-def _edge_orbit_roots(
-    items: Sequence[tuple[int, int]], gens: Sequence[Sequence[int]]
-) -> list[int]:
-    """For each pair in `items`, the least index of its orbit under the
-    given permutations, which map `items` onto itself."""
-    return _orbit_roots(len(items), _pair_perms(items, gens))
-
-
 def _edge_orbit_reps(
     items: list[tuple[int, int]], gens: Sequence[Sequence[int]]
 ) -> list[tuple[int, int]]:
     """One representative per orbit of vertex pairs under the given perms."""
     if not gens:
         return items
-    roots = _edge_orbit_roots(items, gens)
-    return [e for i, e in enumerate(items) if roots[i] == i]
+    return [items[i] for i in _orbit_reps(len(items), _pair_perms(items, gens))]
 
 
 def _degree_pair(deg: list[int], u: int, v: int) -> tuple[int, int]:
@@ -183,7 +157,7 @@ def _canonical_deletion_ok(
     if not cf.aut_generators:
         return False
     edges = child.edges
-    roots = _edge_orbit_roots(edges, cf.aut_generators)
+    roots = _orbit_roots(len(edges), _pair_perms(edges, cf.aut_generators))
     return roots[edges.index(best_edge)] == roots[edges.index(new_edge)]
 
 
@@ -274,11 +248,6 @@ def _insert_diamond(g: SimpleGraph, i: int) -> SimpleGraph:
     return trusted_graph(
         g.n + 4, rest + [(u, a), (a, b), (a, c), (b, c), (b, d), (c, d), (d, w)]
     )
-
-
-def _orbit_reps(n: int, perms: Sequence[Sequence[int]]) -> list[int]:
-    roots = _orbit_roots(n, perms)
-    return [i for i in range(n) if roots[i] == i]
 
 
 def _cubic_classes(g: int) -> ClassKeys:

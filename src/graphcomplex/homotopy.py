@@ -199,7 +199,7 @@ def h_homotopy(
             kinds = incident.get(x, [])
             if len(kinds) != 2 or any(k != "v" for k, _ in kinds):
                 continue
-            ve_a, ve_b = kinds[0][1], kinds[1][1]
+            ve_b = kinds[1][1]
             side = _branch_edges_at(
                 lg, x, _subtree_nodes(tree, ve_b.twin_node, w_id)
             )

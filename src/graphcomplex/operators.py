@@ -49,7 +49,7 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, Iterator, Sequence
 
-from .canon import _orbit_roots, aut_group_order, canonical_form
+from .canon import _orbit_roots, _pair_perms, aut_group_order, canonical_form
 from .formal import FormalSum
 from .graphs import (
     NonSimple,
@@ -195,13 +195,8 @@ def _vertex_removals(g: SimpleGraph) -> Terms:
     # `targets`, in ascending edge position
     moves = [(v, ts) for v in range(g.n) for ts in _reattachments(g, v, incident[v])]
     index = {move: i for i, move in enumerate(moves)}
-    position = {e: i for i, e in enumerate(g.edges)}
     perms = []
-    for sigma in cf.aut_generators:
-        pi = []
-        for u, w in g.edges:
-            a, b = sigma[u], sigma[w]
-            pi.append(position[(a, b) if a < b else (b, a)])
+    for sigma, pi in zip(cf.aut_generators, _pair_perms(g.edges, cf.aut_generators)):
         # order[v]: v's ends in the ascending positions of their images,
         # which are the ends of sigma v
         order = [

@@ -61,6 +61,8 @@ def nontri_samples(count: int, seed: int, max_loops: int = 6) -> list[SimpleGrap
     replacement beyond the pool size) from the enumerated classes."""
     pool = nontri_pool(max_loops)
     if not pool:
-        raise ValueError("empty sample pool")
+        raise ValueError(
+            f"no biconnected, non-triconnected class up to loop order {max_loops}"
+        )
     rng = random.Random(seed)
     return [graph6_decode(rng.choice(pool)) for _ in range(count)]

@@ -316,3 +316,50 @@ def test_swap_test_is_sound_on_random_graphs(colored):
         flagged += hit
         missed += canonical_form(g, colors).is_zero and not hit
     assert flagged > 0 and missed > 0
+
+
+def _group_closure(n: int, gens) -> set[tuple[int, ...]]:
+    """Every element of the permutation group on range(n) generated by gens."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        sigma = frontier.pop()
+        for gen in gens:
+            tau = tuple(gen[x] for x in sigma)
+            if tau not in group:
+                group.add(tau)
+                frontier.append(tau)
+    return group
+
+
+@pytest.mark.parametrize("colored", [False, True])
+def test_orbit_reps_of_pairs_match_group_closure(colored):
+    """On seeded 4-8-vertex graphs and some symmetric ones, plain and
+    3-colored, `_orbit_reps` over `_pair_perms` lists the least index of
+    each orbit of the edges and of the non-edges under the automorphism
+    group, which is enumerated whole by closure of the generators."""
+    from graphcomplex.canon import _orbit_reps, _pair_perms
+
+    rng = random.Random(17 + colored)
+    graphs = [k4(), k5(), k33(), prism(), wheel(5)]
+    for _ in range(150):
+        n = rng.randint(4, 8)
+        p = rng.choice([0.2, 0.4, 0.6, 0.8])
+        graphs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                      if rng.random() < p]))
+    nontrivial = 0
+    for g in graphs:
+        colors = tuple(rng.randrange(3) for _ in range(g.n)) if colored else None
+        gens = canonical_form(g, colors).aut_generators
+        group = _group_closure(g.n, gens)
+        nontrivial += len(group) > 1
+        nonedges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                    if not g.adj[u] >> v & 1]
+        for items in (list(g.edges), nonedges):
+            index = {e: i for i, e in enumerate(items)}
+            expected = sorted({
+                min(index[tuple(sorted((sigma[u], sigma[v])))] for sigma in group)
+                for u, v in items
+            })
+            assert _orbit_reps(len(items), _pair_perms(items, gens)) == expected, (g, colors)
+    assert nontrivial > 20

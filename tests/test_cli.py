@@ -121,6 +121,10 @@ def test_error_exit_code(capsys):
         (["verify", "homotopy", "--samples", "-1"], "--samples -1"),
         (["verify", "spqr-roundtrip", "--samples", "0"], "--samples 0"),
         (["verify", "d2", "--max-loops", "2"], "--max-loops 2"),
+        (["verify", "homotopy", "--max-loops", "3"],
+         "--max-loops 3: no biconnected, non-triconnected class up to loop order 3"),
+        (["verify", "contraction-case", "--max-loops", "4"],
+         "--max-loops 4: no biconnected, non-triconnected class up to loop order 4"),
     ],
 )
 def test_bad_input_exits_2(argv, message, capsys):
@@ -140,6 +144,23 @@ def test_threads_option_is_gone(capsys):
         main(["dims", "--loops", "3", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, lines",
+    [
+        ("kwz", ["square_zero"]),
+        ("zivkovic", ["delta0_D", "D_squared", "nabla_D", "Dbar_squared", "nabla_Dbar"]),
+        ("deltak", ["delta3", "delta4"]),
+    ],
+)
+def test_identity_suites_pass_output(suite, lines, capsys):
+    """Exact report of each passing identity suite at loop order 5: one
+    line per identity, in the suite's order, on the 4 basis classes."""
+    assert main(["verify", suite, "--max-loops", "5"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{suite}\t{name}\t4/4\tPASS\n" for name in lines
+    )
 
 
 def test_failed_identity_prints_witness(monkeypatch, capsys):

@@ -195,6 +195,55 @@ def test_spqr_and_separation_pairs_output_digests():
     )
 
 
+def test_spqr_neighbors_and_leaves_match_tree_edges():
+    """On the digest sample, `neighbors` and `leaves` (read from the nodes'
+    virtual edges) agree with the adjacency of `tree_edges`."""
+    multi = 0
+    for g in biconnected_samples(500, seed=31):
+        tree = spqr(g)
+        adjacent = {node.id: [] for node in tree.nodes}
+        for a, b in tree.tree_edges:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        for i, ns in adjacent.items():
+            assert tree.neighbors(i) == sorted(ns), (g, i)
+        if len(tree.nodes) > 1:
+            multi += 1
+            assert tree.leaves() == [i for i, ns in adjacent.items() if len(ns) == 1]
+        else:
+            assert tree.leaves() == [0]
+    assert multi > 0
+
+
+def _necklace(k: int, blob: int):
+    """k copies of K_blob in a ring, copy i joined to copy i + 1 by one edge."""
+    edges = []
+    for i in range(k):
+        base, nxt = i * blob, (i + 1) % k * blob
+        edges += [(base + a, base + b) for a in range(blob) for b in range(a + 1, blob)]
+        edges.append((min(base + 1, nxt), max(base + 1, nxt)))
+    return build_graph(k * blob, edges)
+
+
+def test_spqr_fuses_a_ring_of_series_parts():
+    """The ring of a necklace is split into 2k - 2 S parts, which fuse into
+    one S node on 2k vertices, next to k P and k R nodes; the digest of
+    the trees was computed before the fusion became one union-find pass
+    (the digest sample never fuses more than two parts)."""
+    trees = []
+    for k in range(3, 7):
+        for blob in (4, 5):
+            g = _necklace(k, blob)
+            tree = spqr(g)
+            check_spqr_invariants(g, tree)
+            assert sorted(n.kind for n in tree.nodes) == ["P"] * k + ["R"] * k + ["S"]
+            assert len(tree.nodes[-1].vertices) == 2 * k
+            trees.append(tree_to_json(tree))
+    assert hashlib.sha256("".join(trees).encode()).hexdigest() == (
+        "777eb06527560dbb3e168dc5cc9818b27e725ca57758f3fd981372b0ff9e1053"
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_spqr_fuzz_on_glued_graphs(rng):
