@@ -383,6 +383,13 @@ def _swap_automorphisms(
             yield tuple(sigma), bool(odd)
 
 
+def has_odd_swap(g: SimpleGraph, colors: Sequence[int] | None = None) -> bool:
+    """Whether ``_swap_automorphisms`` finds an odd automorphism of g: a
+    test without search that is sufficient, not necessary, for g's class
+    to be zero."""
+    return any(odd for _, odd in _swap_automorphisms(g.n, g.adj, colors))
+
+
 def canonical_form(g: SimpleGraph, colors: Sequence[int] | None = None) -> CanonicalClass:
     """Canonical class of a (possibly vertex-colored) simple graph.
 

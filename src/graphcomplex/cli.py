@@ -27,7 +27,7 @@ from .connectivity import (
     tree_to_json,
 )
 from .generate import basis_keys, build_basis, graded_bases
-from .graphs import graph6_decode, graph6_encode
+from .graphs import GRAPH6_MAX_VERTICES, graph6_decode, graph6_encode
 from .sampling import biconnected_samples, nontri_samples
 
 
@@ -44,10 +44,15 @@ def _tsv(rows: list[list], header: list[str]) -> list[str]:
     return ["\t".join(header)] + ["\t".join(str(x) for x in r) for r in rows]
 
 
-def _check_loops(g: int) -> None:
-    if not grade_range(g):
-        raise ValueError(f"--loops {g}: no vertex count carries loop order {g}; "
+def _check_loops(g: int, option: str = "--loops") -> None:
+    rs = grade_range(g)
+    if not rs:
+        raise ValueError(f"{option} {g}: no vertex count carries loop order {g}; "
                          "use a loop order of at least 2")
+    if rs[-1] > GRAPH6_MAX_VERTICES:
+        raise ValueError(f"{option} {g}: its top grade has {rs[-1]} vertices, more "
+                         f"than graph6 encodes ({GRAPH6_MAX_VERTICES}); use a loop "
+                         f"order of at most {GRAPH6_MAX_VERTICES // 2 + 1}")
 
 
 def cmd_enumerate(args) -> int:
@@ -244,6 +249,7 @@ def cmd_verify(args) -> int:
     if args.max_loops < 3:
         raise ValueError(f"--max-loops {args.max_loops}: the suites start at "
                          "loop order 3")
+    _check_loops(args.max_loops, "--max-loops")
     if args.samples < 1:
         raise ValueError(f"--samples {args.samples}: need at least one sample")
     ok, lines = VERIFIERS[args.suite](args)

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .generate import Basis, build_basis, grade_range, graded_bases
+from .generate import (
+    Basis,
+    ClassKeys,
+    build_basis,
+    grade_range,
+    graded_bases,
+    graded_classes,
+)
 from .graphs import GraphError
 from .matrixops import SparseRationalMatrix, exact_rank
-from .operators import _d_image
 
 VARIANTS = ("full", "biconnected", "triconnected")
 
@@ -49,14 +55,28 @@ def differential_matrix(
 ) -> SparseRationalMatrix:
     """Matrix of the edge-contraction differential, one column per source
     class.  Non-simple contractions, orientation-zero images, and images
-    absent from the target basis (quotient variants) are dropped."""
+    absent from the target basis (quotient variants) are dropped.
+
+    The columns are the ones `graded_classes(source.loop_order)` recorded
+    for the source grade; a basis from `build_basis` has the same keys, so
+    it reads the same columns.  A source class without a recorded column
+    raises ComplexError.  ``operators.apply_d`` computes the same images
+    afresh."""
     if source.loop_order != target.loop_order:
         raise GraphError("loop order mismatch between bases")
     if source.vertex_count != target.vertex_count + 1:
         raise GraphError("target must have one vertex fewer than source")
     if source.variant != target.variant:
         raise GraphError("variant mismatch between bases")
-    return matrix_of(_d_image, source, target)
+    columns = graded_classes(source.loop_order).get(source.vertex_count, ClassKeys()).columns
+
+    def column(key: bytes):
+        try:
+            return columns[key]
+        except KeyError:
+            raise ComplexError(f"no recorded d column for {key!r}") from None
+
+    return matrix_of(column, source, target)
 
 
 class GradeRow(NamedTuple):

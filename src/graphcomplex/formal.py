@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .canon import _swap_automorphisms, canonical_form
+from .canon import canonical_form, has_odd_swap
 from .graphs import SimpleGraph
 
 
@@ -15,7 +15,7 @@ class FormalSum:
 
     ``add_graph`` drops a graph whose class is zero.  Before it canonizes a
     graph, it looks for an odd automorphism that swaps one or two pairs of
-    vertices (``canon._swap_automorphisms``), a test without search.  The
+    vertices (``canon.has_odd_swap``), a test without search.  The
     test is a sufficient condition only: a graph it flags is zero and is
     dropped uncanonized, and every other graph is canonized as before, so
     the canonizer's zero flag decides the rest.  Keys, signs and sums are
@@ -51,7 +51,7 @@ class FormalSum:
         orientation) and accumulate; zero classes are dropped, those with
         an odd swap of one or two vertex pairs before canonization.
         Optional vertex colors produce color-preserving (labeled) classes."""
-        if any(odd for _, odd in _swap_automorphisms(g.n, g.adj, colors)):
+        if has_odd_swap(g, colors):
             return
         cf = canonical_form(g, colors)
         if cf.is_zero:

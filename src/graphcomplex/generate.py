@@ -9,6 +9,36 @@ intermediate graph is visited exactly once.
 cubic grade of a loop order without it (below) and every lower grade as the
 simple edge contractions of the grade above.
 
+That closure (`_contraction_pass`) walks each class as its canonical graph
+G, decoded from its key, with the automorphism generators of the graph that
+first found the class moved to G's labelling; no class is canonized twice.
+An automorphism of G that sends edge j to edge pi(j) maps the contraction
+G/j onto G/pi(j), so one edge per orbit finds every class of the grade
+below (McKay, as above).  It also gives the column of d on a non-zero
+class.  With the edges in G's order, less the contracted one, the
+automorphism maps the edge sequence of G/j to that of G/pi(j) by a
+permutation of sign sign(pi) (-1)^(j + pi(j)), so the term
+(-1)^pi(j) [G/pi(j)] equals sign(pi) (-1)^j [G/j].  A non-zero class has only
+even automorphisms, so each edge of an orbit gives the same term, and the
+recorded column is the sum over orbit representatives j (0-based) of
+(-1)^j times the sign of G/j to its canonical order times the orbit size,
+with zero images and cancelled terms dropped: the image that
+`operators._d_image` sums edge by edge.
+
+An image that adds nothing to a column (every image of a zero class, and an
+image with an odd vertex swap, `canon.has_odd_swap`) is canonized only to
+find its class, and is skipped unless it undoes a top split.  Give a vertex
+the invariant (degree, sum of its neighbours' degrees), and a pair of
+vertices the invariant (adjacent or not, their two vertex invariants,
+greater first).  A top split of a graph C below the cubic grade takes a
+vertex m of greatest invariant, of degree d >= 4 since C has more than 3/2
+edges per vertex, and a pair {a, b} of m's neighbours of greatest pair
+invariant, and moves a and b from m to a new vertex w joined to m.  The
+result is simple, connected and at least trivalent (w has valence 3, m has
+d - 1), so it is a class of the grade above, and contracting wm gives back
+C.  The test is invariant under isomorphism, so the orbit representative of
+wm undoes a top split too, and every class of the grade below is found.
+
 The canonical deletion edge is chosen among the edges with the least pair
 of endpoint degrees (smaller degree first), and among those it is the one
 the canonical relabeling puts last.  The degree pair is an isomorphism
@@ -56,12 +86,20 @@ two new edges differ.  Let G be connected simple cubic and not K4.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .canon import CanonicalClass, _orbit_reps, _orbit_roots, _pair_perms, canonical_form
+from .canon import (
+    CanonicalClass,
+    _orbit_reps,
+    _orbit_roots,
+    _pair_perms,
+    canonical_form,
+    has_odd_swap,
+)
 from .connectivity import connectivity_class
 from .graphs import (
     NonSimple,
@@ -75,15 +113,26 @@ from .graphs import (
 )
 
 
+Column = tuple[tuple[bytes, int], ...]
+
+
 class ClassKeys(frozenset):
     """Canonical keys of the classes of one grade; ``zero`` is the subset of
-    orientation-zero classes, kept from the canonical forms that found them."""
+    orientation-zero classes, kept from the canonical forms that found them,
+    and ``columns`` maps a non-zero class to its image under d as (class
+    key, integer coefficient) pairs, where `graded_classes` recorded it."""
 
-    __slots__ = ("zero",)
+    __slots__ = ("zero", "columns")
 
-    def __new__(cls, keys: Iterable[bytes] = (), zero: Iterable[bytes] = ()):
+    def __new__(
+        cls,
+        keys: Iterable[bytes] = (),
+        zero: Iterable[bytes] = (),
+        columns: Mapping[bytes, Column] | None = None,
+    ):
         self = super().__new__(cls, keys)
         self.zero = frozenset(zero)
+        self.columns = MappingProxyType(dict(columns or {}))
         return self
 
 
@@ -210,21 +259,91 @@ def grade_range(g: int) -> range:
     return range(2, 2 * (g - 1) + 1)
 
 
-def _contraction_classes(classes: ClassKeys) -> ClassKeys:
-    """Classes of the simple edge contractions of the given classes."""
-    out: set[bytes] = set()
-    zero: set[bytes] = set()
-    for key in classes:
+def _class_keys(
+    found: Mapping[bytes, CanonicalClass], columns: Mapping[bytes, Column] | None = None
+) -> ClassKeys:
+    return ClassKeys(found, (k for k, cf in found.items() if cf.is_zero), columns)
+
+
+def _canonical_generators(cf: CanonicalClass) -> list[tuple[int, ...]]:
+    """The automorphism generators of the graph that `cf` canonized, moved to
+    its canonical labelling: tau(perm[v]) = perm[sigma(v)]."""
+    perm = cf.relabel
+    out = []
+    for sigma in cf.aut_generators:
+        tau = [0] * len(perm)
+        for v, p in enumerate(perm):
+            tau[p] = perm[sigma[v]]
+        out.append(tuple(tau))
+    return out
+
+
+def _undoes_a_top_split(graph: SimpleGraph, j: int, image: SimpleGraph) -> bool:
+    """Whether contracting edge j of `graph` into `image` undoes a top split
+    of `image` (module docstring): an end w of the edge has valence 3, the
+    merged vertex has the greatest vertex invariant of `image`, and w's
+    other two neighbours have the greatest pair invariant among the pairs
+    of the merged vertex's neighbours.  The merged vertex keeps the lower
+    label u, and the labels
+    above v shift down (`contract_edge`)."""
+    u, v = graph.edges[j]
+    deg = image.degrees()
+    weight = [0] * image.n
+    for a, b in image.edges:
+        weight[a] += deg[b]
+        weight[b] += deg[a]
+    inv = list(zip(deg, weight))
+    if inv[u] != max(inv):
+        return False
+
+    def pair_inv(a: int, b: int) -> tuple:
+        return (image.adj[a] >> b & 1, max(inv[a], inv[b]), min(inv[a], inv[b]))
+
+    nbrs = [x for x in range(image.n) if image.adj[u] >> x & 1]
+    best = max(pair_inv(a, b) for a, b in combinations(nbrs, 2))
+    for w, x in ((u, v), (v, u)):
+        rest = graph.adj[w] & ~(1 << x)
+        if rest.bit_count() == 2:
+            a, b = [y - (y > v) for y in range(graph.n) if rest >> y & 1]
+            if pair_inv(a, b) == best:
+                return True
+    return False
+
+
+def _contraction_pass(
+    found: Mapping[bytes, CanonicalClass],
+) -> tuple[dict[bytes, Column], dict[bytes, CanonicalClass]]:
+    """The d column of every non-zero class of one grade, and the classes of
+    the grade below.  Classes come as their keys, each with the canonical
+    form that first found it; one edge per orbit of each class's
+    automorphism group is contracted (module docstring)."""
+    columns: dict[bytes, Column] = {}
+    below: dict[bytes, CanonicalClass] = {}
+    for key, cf in found.items():
         graph = graph6_decode(key)
-        for j in range(graph.k):
+        roots = _orbit_roots(graph.k, _pair_perms(graph.edges, _canonical_generators(cf)))
+        sizes = Counter(roots)
+        column: dict[bytes, int] = {}
+        for j, root in enumerate(roots):
+            if root != j:
+                continue
             image = contract_edge(graph, j)
             if isinstance(image, NonSimple):
                 continue
-            cf = canonical_form(image)
-            out.add(cf.canon_key)
-            if cf.is_zero:
-                zero.add(cf.canon_key)
-    return ClassKeys(out, zero)
+            # an image that adds nothing to a column is canonized only to
+            # find its class, which a top split finds too
+            if (cf.is_zero or has_odd_swap(image)) and not _undoes_a_top_split(
+                graph, j, image
+            ):
+                continue
+            icf = canonical_form(image)
+            below.setdefault(icf.canon_key, icf)
+            if not cf.is_zero and not icf.is_zero:
+                term = (-1) ** j * icf.sign_to_canon * sizes[j]
+                column[icf.canon_key] = column.get(icf.canon_key, 0) + term
+        if not cf.is_zero:
+            columns[key] = tuple((k, c) for k, c in column.items() if c)
+    return columns, below
 
 
 def _insert_edge(
@@ -250,23 +369,21 @@ def _insert_diamond(g: SimpleGraph, i: int) -> SimpleGraph:
     )
 
 
-def _cubic_classes(g: int) -> ClassKeys:
-    """generate(2g - 2, 3g - 3): the connected simple cubic classes of loop
-    order g, built from K4 by E, D and B (see the module docstring)."""
+def _cubic_classes(g: int) -> dict[bytes, CanonicalClass]:
+    """The classes of generate(2g - 2, 3g - 3), the connected simple cubic
+    classes of loop order g, built from K4 by E, D and B (see the module
+    docstring); each key maps to the canonical form that first found it."""
     # per grade, the first graph found of each class and the permutations
     # of its edge positions that its automorphism generators induce
     grades: dict[int, list[tuple[SimpleGraph, list[list[int]]]]] = {}
-    keys: set[bytes] = set()
-    zero: set[bytes] = set()
+    found: dict[bytes, CanonicalClass] = {}
     for n in range(4, 2 * g - 1, 2):
-        keys, zero, grade = set(), set(), []
+        found, grade = {}, []
 
         def add(child: SimpleGraph) -> None:
             cf = canonical_form(child)
-            if cf.canon_key not in keys:
-                keys.add(cf.canon_key)
-                if cf.is_zero:
-                    zero.add(cf.canon_key)
+            if cf.canon_key not in found:
+                found[cf.canon_key] = cf
                 grade.append((child, _pair_perms(child.edges, cf.aut_generators)))
 
         if n == 4:
@@ -287,24 +404,31 @@ def _cubic_classes(g: int) -> ClassKeys:
                         for j in _orbit_reps(g2.k, perms2):
                             add(_insert_edge(g1.n + g2.n, union, i, g1.k + j))
         grades[n] = grade
-    return ClassKeys(keys, zero)
+    return found
 
 
 @lru_cache(maxsize=16)
 def graded_classes(g: int) -> Mapping[int, ClassKeys]:
-    """generate(r, g + r - 1) for every grade r of loop order g, ascending.
+    """generate(r, g + r - 1) for every grade r of loop order g, ascending,
+    with the d column of every non-zero class of every grade above the
+    lowest in ``.columns``.
 
     The cubic grade r = 2g - 2 is built by `_cubic_classes`.  A simple
     contraction keeps a graph connected and at least trivalent, and
     splitting a vertex of valence d >= 4 into valences 3 and d - 1 undoes
     one, so each lower grade is the set of contractions of the grade above,
-    orientation-zero classes of that grade included."""
+    orientation-zero classes of that grade included; `_contraction_pass`
+    makes them and the grade's columns in one pass."""
     rs = grade_range(g)
     if not rs:
         return MappingProxyType({})
-    classes = {rs[-1]: _cubic_classes(g)}
-    for r in reversed(rs[:-1]):
-        classes[r] = _contraction_classes(classes[r + 1])
+    found = _cubic_classes(g)
+    classes = {}
+    for r in reversed(rs[1:]):
+        columns, below = _contraction_pass(found)
+        classes[r] = _class_keys(found, columns)
+        found = below
+    classes[rs[0]] = _class_keys(found)
     return MappingProxyType(dict(sorted(classes.items())))
 
 

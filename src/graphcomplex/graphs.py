@@ -213,6 +213,9 @@ def permutation_sign(perm: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # graph6 (short form, <= 62 vertices)
 
+GRAPH6_MAX_VERTICES = 62
+
+
 def graph6_encode(g: SimpleGraph) -> bytes:
     n = g.n
     return graph6_from_rows(n, [int(f"{a:0{n}b}"[::-1], 2) for a in g.adj])
@@ -222,8 +225,10 @@ def graph6_from_rows(n: int, rows: Sequence[int]) -> bytes:
     """graph6 of the graph on n vertices whose adjacency matrix has the
     rows ``rows``, each an integer with column 0 as its most significant
     of n bits."""
-    if n > 62:
-        raise GraphError("graph6 short form supports at most 62 vertices")
+    if n > GRAPH6_MAX_VERTICES:
+        raise GraphError(
+            f"graph6 short form supports at most {GRAPH6_MAX_VERTICES} vertices"
+        )
     # the upper triangle column by column: column j's entries above the
     # diagonal are the top j bits of row j
     bits = 0
@@ -245,7 +250,7 @@ def graph6_decode(data: bytes | str) -> SimpleGraph:
     if not data:
         raise GraphError("empty graph6 string")
     n = data[0] - 63
-    if not (0 <= n <= 62):
+    if not (0 <= n <= GRAPH6_MAX_VERTICES):
         raise GraphError(f"unsupported graph6 vertex byte {data[0]}")
     need = (n * (n - 1) // 2 + 5) // 6
     body = data[1:]

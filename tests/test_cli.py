@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 import graphcomplex.connectivity as connectivity
 import graphcomplex.operators as ops
 from graphcomplex import FormalSum, build_graph, canonical_form, contract_edge, graph6_encode
-from graphcomplex.cli import main
+from graphcomplex.cli import _check_loops, main
 from graphcomplex.generate import basis_keys
 from graphcomplex.graphs import NonSimple
 from graphcomplex.sampling import biconnected_samples, nontri_samples
@@ -132,6 +133,31 @@ def test_bad_input_exits_2(argv, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cohomology", "--loops", "40"], "--loops 40: its top grade has 78 vertices"),
+        (["dims", "--loops", "40"], "--loops 40: its top grade has 78 vertices"),
+        (["enumerate", "--loops", "40", "--vertices", "70"], "--loops 40"),
+        (["dims", "--loops", "33"], "--loops 33: its top grade has 64 vertices"),
+        (["verify", "d2", "--max-loops", "40"], "--max-loops 40"),
+    ],
+)
+def test_loop_order_beyond_graph6_exits_2_quickly(argv, message, capsys):
+    """A top grade above the 62 vertices of graph6 is rejected before any
+    work; these commands used to run on without output."""
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_largest_loop_order_passes_the_check():
+    _check_loops(32)  # top grade 62 vertices
 
 
 def test_spqr_disconnected_input_message(capsys):

@@ -14,6 +14,7 @@ from graphcomplex import (
     verify_theorem1,
 )
 from graphcomplex.complexes import VARIANTS, ComplexError, matrix_of
+from graphcomplex.generate import Basis, graded_classes
 from graphcomplex.graphs import GraphError
 
 
@@ -62,6 +63,16 @@ def test_matrix_of_rejects_a_fractional_coefficient():
     # an integral Fraction enters as an int
     m = matrix_of(lambda k: [(k, Fraction(-2))], basis, basis)
     assert set(map(type, m.entries.values())) == {int}
+
+
+def test_differential_matrix_names_a_class_without_a_column():
+    """The columns are read from `graded_classes`; a source class it holds
+    no column for, here an orientation-zero class, raises ComplexError."""
+    classes = graded_classes(5)[7]
+    key = min(classes.zero)
+    source = Basis(5, 7, "full", (key,), {key: 0})
+    with pytest.raises(ComplexError, match=re.escape(repr(key))):
+        differential_matrix(source, build_basis(5, 6))
 
 
 @pytest.mark.parametrize("g,expected", [(3, {0: 1}), (4, {}), (5, {0: 1})])

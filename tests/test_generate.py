@@ -7,21 +7,26 @@ from itertools import combinations
 import pytest
 
 from graphcomplex import build_basis, build_graph, canonical_form, graph6_decode
+from graphcomplex.canon import aut_group_order
 from graphcomplex.complexes import VARIANTS
 import graphcomplex.generate as generate_module
 from graphcomplex.generate import (
-    ClassKeys,
     _canonical_deletion_ok,
-    _contraction_classes,
+    _canonical_generators,
+    _class_keys,
+    _contraction_pass,
     _cubic_classes,
     _has_least_degree_pair,
     _insert_diamond,
     _insert_edge,
+    _undoes_a_top_split,
     generate,
     grade_range,
     graded_bases,
     graded_classes,
 )
+from graphcomplex.graphs import NonSimple, contract_edge
+from graphcomplex.operators import _d_image
 from graphcomplex.sampling import nontri_pool
 
 from conftest import k4, k33, oracle_generate, prism
@@ -136,7 +141,7 @@ def test_graded_classes_equal_direct_generation(g):
 
 @pytest.mark.slow
 def test_cubic_grade_loop_order_seven_equals_direct_generation():
-    cubic = _cubic_classes(7)
+    cubic = _class_keys(_cubic_classes(7))
     direct = generate(12, 18)
     assert cubic == direct
     assert cubic.zero == direct.zero
@@ -151,7 +156,7 @@ def test_cubic_grade_counts():
 def test_cubic_grade_loop_order_eight_unchanged():
     """Digests of the sorted keys and zero keys of generate(14, 21), the
     search the cubic construction replaced (commit 9cddf8c)."""
-    cubic = _cubic_classes(8)
+    cubic = _class_keys(_cubic_classes(8))
     assert (len(cubic), len(cubic.zero)) == (509, 295)
     assert hashlib.sha256(b"\n".join(sorted(cubic))).hexdigest() == (
         "cd83be7df4c55e85ffd14c4baae5da011ef1a1dec07f1e0c4984e87b2579a11d"
@@ -164,7 +169,7 @@ def test_cubic_grade_loop_order_eight_unchanged():
 @pytest.mark.slow
 def test_cubic_grade_count_at_sixteen_vertices():
     # OEIS A002851: 4,060 connected cubic graphs on 16 vertices
-    cubic = _cubic_classes(9)
+    cubic = _class_keys(_cubic_classes(9))
     assert (len(cubic), len(cubic.zero)) == (4060, 1564)
 
 
@@ -225,7 +230,119 @@ def test_contraction_closure_needs_the_zero_classes():
     graded = graded_classes(5)
     for r in (6, 7):
         above = graded[r + 1]
-        assert _contraction_classes(ClassKeys(above - above.zero)) < graded[r], r
+        nonzero = {k: canonical_form(graph6_decode(k)) for k in above - above.zero}
+        _, below = _contraction_pass(nonzero)
+        assert below.keys() < graded[r], r
+
+
+def test_graded_classes_loop_order_seven_unchanged():
+    """Digests of the sorted keys and zero keys of every grade of loop
+    order 7, as the closure that contracted every edge of every class and
+    canonized every image gave them (commit 6a0abc7)."""
+    graded = graded_classes(7)
+    keys = sorted(k for classes in graded.values() for k in classes)
+    zero = sorted(k for classes in graded.values() for k in classes.zero)
+    assert (len(keys), len(zero)) == (1108, 529)
+    assert hashlib.sha256(b"\n".join(keys)).hexdigest() == (
+        "7338f3e3345ce625df6090dbe2afeea4aaad88bffca161b3c4002ceef15cd22c"
+    )
+    assert hashlib.sha256(b"\n".join(zero)).hexdigest() == (
+        "f31a2e36df8da6b46417a61652c84e2d2112ad2dc7277a729a028c46d6aa2c78"
+    )
+
+
+@pytest.mark.parametrize("g", range(3, 8))
+def test_recorded_columns_equal_the_d_operator(g):
+    """Every non-zero class of every grade above the lowest has a recorded
+    column, and it is the image that `operators._d_image` computes from
+    every edge of the class."""
+    graded = graded_classes(g)
+    lowest = min(graded)
+    count = 0
+    for r, classes in graded.items():
+        if r == lowest:
+            assert not classes.columns
+            continue
+        assert classes.columns.keys() == classes - classes.zero, (g, r)
+        for key, column in classes.columns.items():
+            assert all(type(c) is int and c for _, c in column), key
+            assert dict(column) == dict(_d_image(key)), key
+            count += 1
+    assert count == {3: 1, 4: 0, 5: 3, 6: 39, 7: 579}[g]
+
+
+@pytest.mark.parametrize("g, simple", [(5, 19), (6, 310)])
+def test_closure_contracts_one_edge_per_orbit(monkeypatch, g, simple):
+    """The closure makes one simple contraction per edge orbit of each
+    class, a count that does not depend on how a class is labelled;
+    contracting every edge makes 62 at loop order 5 and 651 at 6."""
+    contract = generate_module.contract_edge
+    made = []
+
+    def counting(graph, j):
+        image = contract(graph, j)
+        if not isinstance(image, NonSimple):
+            made.append(image)
+        return image
+
+    monkeypatch.setattr(generate_module, "contract_edge", counting)
+    graded_classes.__wrapped__(g)
+    assert len(made) == simple
+
+
+@pytest.mark.parametrize("g", range(3, 8))
+def test_top_splits_find_every_class_below_the_cubic_grade(g):
+    """The contractions that undo a top split, from zero and non-zero
+    classes alike, already find every class of the grade below, so the
+    closure may skip canonizing the others when they add nothing to a
+    column."""
+    found = _cubic_classes(g)
+    for _ in grade_range(g)[1:]:
+        top_split_images = set()
+        for key in found:
+            graph = graph6_decode(key)
+            for j in range(graph.k):
+                image = contract_edge(graph, j)
+                if not isinstance(image, NonSimple) and _undoes_a_top_split(graph, j, image):
+                    top_split_images.add(canonical_form(image).canon_key)
+        _, found = _contraction_pass(found)
+        assert top_split_images == found.keys()
+
+
+def test_top_split_test_does_not_depend_on_the_labelling():
+    """Relabelling a class and its edges alike leaves the answer for each
+    edge unchanged, as the completeness argument needs."""
+    rng = random.Random(18)
+    for classes in graded_classes(6).values():
+        for key in sorted(classes):
+            graph = graph6_decode(key)
+            perm = list(range(graph.n))
+            rng.shuffle(perm)
+            other = build_graph(graph.n, [(perm[a], perm[b]) for a, b in graph.edges])
+            for j in range(graph.k):
+                image = contract_edge(graph, j)
+                if isinstance(image, NonSimple):
+                    continue
+                assert _undoes_a_top_split(graph, j, image) == _undoes_a_top_split(
+                    other, j, contract_edge(other, j)
+                ), (key, j)
+
+
+@pytest.mark.parametrize("g", range(3, 7))
+def test_transported_generators_are_those_of_the_canonical_graph(g):
+    """The generators a class is walked with are automorphisms of its
+    decoded canonical graph and generate its whole automorphism group."""
+    found = _cubic_classes(g)
+    for _ in grade_range(g)[1:]:
+        for key, cf in found.items():
+            graph = graph6_decode(key)
+            edges = set(graph.edges)
+            gens = _canonical_generators(cf)
+            for tau in gens:
+                assert {tuple(sorted((tau[a], tau[b]))) for a, b in graph.edges} == edges
+            fresh = canonical_form(graph).aut_generators
+            assert aut_group_order(graph.n, gens) == aut_group_order(graph.n, fresh)
+        _, found = _contraction_pass(found)
 
 
 @pytest.mark.parametrize("g", range(3, 7))
