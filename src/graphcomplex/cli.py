@@ -15,6 +15,7 @@ from . import homotopy as hom
 from . import operators as ops
 from .complexes import (
     VARIANTS,
+    ComplexError,
     cohomology_dims,
     grade_range,
     table1_rows,
@@ -116,6 +117,10 @@ def cmd_table1(args) -> int:
     if args.max_vertices < 6:
         raise ValueError(f"--max-vertices {args.max_vertices}: the table starts "
                          "at 6 vertices")
+    top = grade_range(10)[-1]
+    if args.max_vertices > top:
+        raise ValueError(f"--max-vertices {args.max_vertices}: loop order 10 has "
+                         f"no class above {top} vertices")
     rows = table1_rows(args.max_vertices)
     if args.format == "json":
         doc = [
@@ -141,7 +146,7 @@ def _verify_d2(args) -> tuple[bool, list[str]]:
             try:
                 cohomology_dims(g, variant)
                 lines.append(f"d2\t{g}\t{variant}\tPASS")
-            except Exception as exc:  # ComplexError carries the witness
+            except ComplexError as exc:  # carries the witness
                 ok = False
                 lines.append(f"d2\t{g}\t{variant}\tFAIL\t{exc}")
     return ok, lines

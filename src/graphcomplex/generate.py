@@ -9,21 +9,22 @@ intermediate graph is visited exactly once.
 cubic grade of a loop order without it (below) and every lower grade as the
 simple edge contractions of the grade above.
 
-That closure (`_contraction_pass`) walks each class as its canonical graph
-G, decoded from its key, with the automorphism generators of the graph that
-first found the class moved to G's labelling; no class is canonized twice.
-An automorphism of G that sends edge j to edge pi(j) maps the contraction
-G/j onto G/pi(j), so one edge per orbit finds every class of the grade
-below (McKay, as above).  It also gives the column of d on a non-zero
-class.  With the edges in G's order, less the contracted one, the
-automorphism maps the edge sequence of G/j to that of G/pi(j) by a
-permutation of sign sign(pi) (-1)^(j + pi(j)), so the term
-(-1)^pi(j) [G/pi(j)] equals sign(pi) (-1)^j [G/j].  A non-zero class has only
-even automorphisms, so each edge of an orbit gives the same term, and the
-recorded column is the sum over orbit representatives j (0-based) of
-(-1)^j times the sign of G/j to its canonical order times the orbit size,
-with zero images and cancelled terms dropped: the image that
-`operators._d_image` sums edge by edge.
+That closure (`_contraction_pass`) walks each class as the graph G that
+first found it, with the automorphism generators of G's canonization; no
+class is canonized twice.  An automorphism of G that sends edge j to edge
+pi(j) maps the contraction G/j onto G/pi(j), so one edge per orbit finds
+every class of the grade below (McKay, as above).  It also gives the
+column of d on a non-zero class.  With the edges in G's order, less the
+contracted one, the automorphism maps the edge sequence of G/j to that of
+G/pi(j) by a permutation of sign sign(pi) (-1)^(j + pi(j)), so the term
+(-1)^pi(j) [G/pi(j)] equals sign(pi) (-1)^j [G/j].  A non-zero class has
+only even automorphisms, so each edge of an orbit gives the same term.  The
+canonical graph C of the class is G relabelled, and [C] = s [G] with s the
+sign of G to its canonical order, so d[C] = s d[G].  The recorded column is
+the sum over orbit representatives j (0-based) of s (-1)^j times the sign
+of G/j to its canonical order times the orbit size, with zero images and
+cancelled terms dropped: the image that `operators._d_image` sums edge by
+edge on C.
 
 An image that adds nothing to a column (every image of a zero class, and an
 image with an odd vertex swap, `canon.has_odd_swap`) is canonized only to
@@ -90,7 +91,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .canon import (
     CanonicalClass,
@@ -108,7 +109,6 @@ from .graphs import (
     complete_graph,
     component_masks,
     contract_edge,
-    graph6_decode,
     trusted_graph,
 )
 
@@ -116,23 +116,31 @@ from .graphs import (
 Column = tuple[tuple[bytes, int], ...]
 
 
-class ClassKeys(frozenset):
-    """Canonical keys of the classes of one grade; ``zero`` is the subset of
-    orientation-zero classes, kept from the canonical forms that found them,
-    and ``columns`` maps a non-zero class to its image under d as (class
-    key, integer coefficient) pairs, where `graded_classes` recorded it."""
+# a class as the graph that first found it, with that graph's canonization
+Found = Mapping[bytes, tuple[SimpleGraph, CanonicalClass]]
 
-    __slots__ = ("zero", "columns")
+
+class ClassKeys(frozenset):
+    """Canonical keys of the classes of one grade, made from the graph that
+    first found each class and its canonical form.  ``zero`` is the subset
+    of orientation-zero classes, ``connectivity`` maps every other class to
+    its `connectivity_class`, computed on that graph, and ``columns`` maps
+    a non-zero class to its image under d as (class key, integer
+    coefficient) pairs, where `graded_classes` recorded it."""
+
+    __slots__ = ("zero", "connectivity", "columns")
 
     def __new__(
         cls,
-        keys: Iterable[bytes] = (),
-        zero: Iterable[bytes] = (),
-        columns: Mapping[bytes, Column] | None = None,
+        found: Found = MappingProxyType({}),
+        columns: Mapping[bytes, Column] = MappingProxyType({}),
     ):
-        self = super().__new__(cls, keys)
-        self.zero = frozenset(zero)
-        self.columns = MappingProxyType(dict(columns or {}))
+        self = super().__new__(cls, found)
+        self.zero = frozenset(k for k, (_, cf) in found.items() if cf.is_zero)
+        self.connectivity = MappingProxyType(
+            {k: connectivity_class(g) for k, (g, cf) in found.items() if not cf.is_zero}
+        )
+        self.columns = MappingProxyType(dict(columns))
         return self
 
 
@@ -217,8 +225,7 @@ def generate(r: int, k: int) -> ClassKeys:
     and listed in ``.zero``."""
     if r < 1 or k < 0:
         return ClassKeys()
-    out: set[bytes] = set()
-    zero: set[bytes] = set()
+    found: dict[bytes, tuple[SimpleGraph, CanonicalClass]] = {}
     root = build_graph(r, [])
     if not _feasible(root, k):
         return ClassKeys()
@@ -226,9 +233,7 @@ def generate(r: int, k: int) -> ClassKeys:
     def recurse(g: SimpleGraph, cf: CanonicalClass) -> None:
         if g.k == k:
             if min(g.degrees(), default=3) >= 3 and len(component_masks(g)) == 1:
-                out.add(cf.canon_key)
-                if cf.is_zero:
-                    zero.add(cf.canon_key)
+                found[cf.canon_key] = (g, cf)
             return
         deg = g.degrees()
         nonedges = [
@@ -248,7 +253,7 @@ def generate(r: int, k: int) -> ClassKeys:
                 recurse(child, cfc)
 
     recurse(root, canonical_form(root))
-    return ClassKeys(out, zero)
+    return ClassKeys(found)
 
 
 def grade_range(g: int) -> range:
@@ -257,25 +262,6 @@ def grade_range(g: int) -> range:
     Min valence 3 forces 2(g + r - 1) >= 3r, i.e. r <= 2(g - 1).
     """
     return range(2, 2 * (g - 1) + 1)
-
-
-def _class_keys(
-    found: Mapping[bytes, CanonicalClass], columns: Mapping[bytes, Column] | None = None
-) -> ClassKeys:
-    return ClassKeys(found, (k for k, cf in found.items() if cf.is_zero), columns)
-
-
-def _canonical_generators(cf: CanonicalClass) -> list[tuple[int, ...]]:
-    """The automorphism generators of the graph that `cf` canonized, moved to
-    its canonical labelling: tau(perm[v]) = perm[sigma(v)]."""
-    perm = cf.relabel
-    out = []
-    for sigma in cf.aut_generators:
-        tau = [0] * len(perm)
-        for v, p in enumerate(perm):
-            tau[p] = perm[sigma[v]]
-        out.append(tuple(tau))
-    return out
 
 
 def _undoes_a_top_split(graph: SimpleGraph, j: int, image: SimpleGraph) -> bool:
@@ -310,18 +296,15 @@ def _undoes_a_top_split(graph: SimpleGraph, j: int, image: SimpleGraph) -> bool:
     return False
 
 
-def _contraction_pass(
-    found: Mapping[bytes, CanonicalClass],
-) -> tuple[dict[bytes, Column], dict[bytes, CanonicalClass]]:
+def _contraction_pass(found: Found) -> tuple[dict[bytes, Column], Found]:
     """The d column of every non-zero class of one grade, and the classes of
-    the grade below.  Classes come as their keys, each with the canonical
-    form that first found it; one edge per orbit of each class's
-    automorphism group is contracted (module docstring)."""
+    the grade below, each found as an image.  A class is walked as the graph
+    that first found it; one edge per orbit of that graph's automorphism
+    group is contracted (module docstring)."""
     columns: dict[bytes, Column] = {}
-    below: dict[bytes, CanonicalClass] = {}
-    for key, cf in found.items():
-        graph = graph6_decode(key)
-        roots = _orbit_roots(graph.k, _pair_perms(graph.edges, _canonical_generators(cf)))
+    below: dict[bytes, tuple[SimpleGraph, CanonicalClass]] = {}
+    for key, (graph, cf) in found.items():
+        roots = _orbit_roots(graph.k, _pair_perms(graph.edges, cf.aut_generators))
         sizes = Counter(roots)
         column: dict[bytes, int] = {}
         for j, root in enumerate(roots):
@@ -337,9 +320,9 @@ def _contraction_pass(
             ):
                 continue
             icf = canonical_form(image)
-            below.setdefault(icf.canon_key, icf)
+            below.setdefault(icf.canon_key, (image, icf))
             if not cf.is_zero and not icf.is_zero:
-                term = (-1) ** j * icf.sign_to_canon * sizes[j]
+                term = cf.sign_to_canon * (-1) ** j * icf.sign_to_canon * sizes[j]
                 column[icf.canon_key] = column.get(icf.canon_key, 0) + term
         if not cf.is_zero:
             columns[key] = tuple((k, c) for k, c in column.items() if c)
@@ -369,22 +352,21 @@ def _insert_diamond(g: SimpleGraph, i: int) -> SimpleGraph:
     )
 
 
-def _cubic_classes(g: int) -> dict[bytes, CanonicalClass]:
+def _cubic_classes(g: int) -> Found:
     """The classes of generate(2g - 2, 3g - 3), the connected simple cubic
     classes of loop order g, built from K4 by E, D and B (see the module
-    docstring); each key maps to the canonical form that first found it."""
+    docstring); each key maps to the graph that first found it and its
+    canonical form."""
     # per grade, the first graph found of each class and the permutations
     # of its edge positions that its automorphism generators induce
     grades: dict[int, list[tuple[SimpleGraph, list[list[int]]]]] = {}
-    found: dict[bytes, CanonicalClass] = {}
+    found: dict[bytes, tuple[SimpleGraph, CanonicalClass]] = {}
     for n in range(4, 2 * g - 1, 2):
-        found, grade = {}, []
+        found = {}
 
         def add(child: SimpleGraph) -> None:
             cf = canonical_form(child)
-            if cf.canon_key not in found:
-                found[cf.canon_key] = cf
-                grade.append((child, _pair_perms(child.edges, cf.aut_generators)))
+            found.setdefault(cf.canon_key, (child, cf))
 
         if n == 4:
             add(complete_graph(4))
@@ -403,7 +385,10 @@ def _cubic_classes(g: int) -> dict[bytes, CanonicalClass]:
                     for i in _orbit_reps(g1.k, perms1):
                         for j in _orbit_reps(g2.k, perms2):
                             add(_insert_edge(g1.n + g2.n, union, i, g1.k + j))
-        grades[n] = grade
+        grades[n] = [
+            (graph, _pair_perms(graph.edges, cf.aut_generators))
+            for graph, cf in found.values()
+        ]
     return found
 
 
@@ -426,9 +411,9 @@ def graded_classes(g: int) -> Mapping[int, ClassKeys]:
     classes = {}
     for r in reversed(rs[1:]):
         columns, below = _contraction_pass(found)
-        classes[r] = _class_keys(found, columns)
+        classes[r] = ClassKeys(found, columns)
         found = below
-    classes[rs[0]] = _class_keys(found)
+    classes[rs[0]] = ClassKeys(found)
     return MappingProxyType(dict(sorted(classes.items())))
 
 
@@ -450,17 +435,13 @@ class Basis(NamedTuple):
 
 
 def _basis(g: int, r: int, variant: str, classes: ClassKeys) -> Basis:
-    """Basis of the (loop order g, r vertices) piece from its classes: drop
-    orientation-zero classes, drop classes below the variant's
-    connectivity threshold, sort lexicographically."""
+    """Basis of the (loop order g, r vertices) piece from its classes: the
+    non-zero classes at or above the variant's connectivity threshold,
+    sorted lexicographically."""
     if variant not in _THRESHOLD:
         raise ValueError(f"unknown variant {variant!r}")
     threshold = _THRESHOLD[variant]
-    keys = sorted(
-        key
-        for key in classes - classes.zero
-        if threshold == 1 or connectivity_class(graph6_decode(key)) >= threshold
-    )
+    keys = sorted(k for k, c in classes.connectivity.items() if c >= threshold)
     return Basis(
         loop_order=g,
         vertex_count=r,

@@ -79,6 +79,15 @@ def relabeled(g: SimpleGraph, perm: tuple[int, ...]) -> SimpleGraph:
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def random_labeling(g: SimpleGraph, rng: random.Random) -> SimpleGraph:
+    """g with its vertices permuted and its edge order shuffled."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = list(relabeled(g, tuple(perm)).edges)
+    rng.shuffle(edges)
+    return build_graph(g.n, edges)
+
+
 def loop_order(g: SimpleGraph) -> int:
     """First Betti number k - n + c, c the number of components."""
     return g.k - g.n + len(component_masks(g))

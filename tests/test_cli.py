@@ -6,10 +6,12 @@ import time
 
 import pytest
 
+import graphcomplex.cli as cli
 import graphcomplex.connectivity as connectivity
 import graphcomplex.operators as ops
 from graphcomplex import FormalSum, build_graph, canonical_form, contract_edge, graph6_encode
 from graphcomplex.cli import _check_loops, main
+from graphcomplex.complexes import ComplexError
 from graphcomplex.generate import basis_keys
 from graphcomplex.graphs import NonSimple
 from graphcomplex.sampling import biconnected_samples, nontri_samples
@@ -143,11 +145,14 @@ def test_bad_input_exits_2(argv, message, capsys):
         (["enumerate", "--loops", "40", "--vertices", "70"], "--loops 40"),
         (["dims", "--loops", "33"], "--loops 33: its top grade has 64 vertices"),
         (["verify", "d2", "--max-loops", "40"], "--max-loops 40"),
+        (["table1", "--max-vertices", "19"],
+         "--max-vertices 19: loop order 10 has no class above 18 vertices"),
     ],
 )
 def test_loop_order_beyond_graph6_exits_2_quickly(argv, message, capsys):
-    """A top grade above the 62 vertices of graph6 is rejected before any
-    work; these commands used to run on without output."""
+    """A top grade above the 62 vertices of graph6, or a table row above
+    the top grade of loop order 10, is rejected before any work; these
+    commands used to run on without output."""
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
@@ -246,3 +251,34 @@ def test_unknown_contraction_case_fails_with_witness(monkeypatch, capsys):
     assert fields[:2] == ["contraction-case", "FAIL"]
     assert fields[2].startswith("0/") and fields[2].endswith(" edges")
     assert fields[3:] == [graph6_encode(g).decode(), f"edge={j}", "bogus"]
+
+
+def test_verify_d2_reports_a_complex_error_as_failed(monkeypatch, capsys):
+    """A ComplexError, which carries the witness of d^2 != 0, is a FAIL line
+    and exit code 1; the other checks still run."""
+
+    def check(g, variant):
+        if (g, variant) == (4, "biconnected"):
+            raise ComplexError("d^2 != 0 at witness")
+
+    monkeypatch.setattr(cli, "cohomology_dims", check)
+    assert main(["verify", "d2", "--max-loops", "4"]) == 1
+    assert capsys.readouterr().out == (
+        "d2\t3\tfull\tPASS\nd2\t3\tbiconnected\tPASS\nd2\t3\ttriconnected\tPASS\n"
+        "d2\t4\tfull\tPASS\nd2\t4\tbiconnected\tFAIL\td^2 != 0 at witness\n"
+        "d2\t4\ttriconnected\tPASS\n"
+    )
+
+
+def test_verify_d2_crash_is_an_error_not_a_failed_check(monkeypatch, capsys):
+    """Any other exception inside the check reaches `main`: exit code 2 and
+    an error line, with no report."""
+
+    def crash(g, variant):
+        raise KeyError("lost class")
+
+    monkeypatch.setattr(cli, "cohomology_dims", crash)
+    assert main(["verify", "d2", "--max-loops", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "lost class" in err

@@ -14,7 +14,7 @@ from graphcomplex import (
     verify_theorem1,
 )
 from graphcomplex.complexes import VARIANTS, ComplexError, matrix_of
-from graphcomplex.generate import Basis, graded_classes
+from graphcomplex.generate import Basis, graded_bases, graded_classes
 from graphcomplex.graphs import GraphError
 
 
@@ -121,3 +121,26 @@ def test_cohomology_rows_digest():
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
         "df07fe233f6bbef67dbb4437bac8ad21d179098bbc4927fe0e53f25d194a56dc"
     )
+
+
+def _variant_digest(g, variant):
+    """SHA-256 over the basis keys of every grade of one variant and the
+    sorted entries of its differential matrices."""
+    bases = graded_bases(g, variant)
+    lines = [repr((r, basis.keys)) for r, basis in bases.items()]
+    for r in list(bases)[1:]:
+        m = differential_matrix(bases[r], bases[r - 1])
+        lines.append(repr((r, m.rows, m.cols, sorted(m.entries.items()))))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_loop_order_seven_bases_and_matrices_digest():
+    """Byte-identity guard over the bases and differential matrices of all
+    three variants at loop order 7.  The digests were computed at commit
+    674de05, where each quotient basis classified its keys afresh and the
+    closure walked each class as its decoded canonical graph."""
+    assert {v: _variant_digest(7, v) for v in VARIANTS} == {
+        "full": "9b791ea8a857163c0b5db1ccf464f29b0aeccbe6c7394e6ed45752d5f9b587c5",
+        "biconnected": "cc73fb85de9fb94df87ffaff968a93776a6f5d9d373924f68fcab564705d5074",
+        "triconnected": "5f1176985056487315db6845b947790bbf1af63fd89c35f8dcd88c23c3d85610",
+    }

@@ -7,13 +7,11 @@ from itertools import combinations
 import pytest
 
 from graphcomplex import build_basis, build_graph, canonical_form, graph6_decode
-from graphcomplex.canon import aut_group_order
 from graphcomplex.complexes import VARIANTS
 import graphcomplex.generate as generate_module
 from graphcomplex.generate import (
+    ClassKeys,
     _canonical_deletion_ok,
-    _canonical_generators,
-    _class_keys,
     _contraction_pass,
     _cubic_classes,
     _has_least_degree_pair,
@@ -29,7 +27,7 @@ from graphcomplex.graphs import NonSimple, contract_edge
 from graphcomplex.operators import _d_image
 from graphcomplex.sampling import nontri_pool
 
-from conftest import k4, k33, oracle_generate, prism
+from conftest import k4, k33, oracle_generate, prism, random_labeling
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -141,7 +139,7 @@ def test_graded_classes_equal_direct_generation(g):
 
 @pytest.mark.slow
 def test_cubic_grade_loop_order_seven_equals_direct_generation():
-    cubic = _class_keys(_cubic_classes(7))
+    cubic = ClassKeys(_cubic_classes(7))
     direct = generate(12, 18)
     assert cubic == direct
     assert cubic.zero == direct.zero
@@ -156,7 +154,7 @@ def test_cubic_grade_counts():
 def test_cubic_grade_loop_order_eight_unchanged():
     """Digests of the sorted keys and zero keys of generate(14, 21), the
     search the cubic construction replaced (commit 9cddf8c)."""
-    cubic = _class_keys(_cubic_classes(8))
+    cubic = ClassKeys(_cubic_classes(8))
     assert (len(cubic), len(cubic.zero)) == (509, 295)
     assert hashlib.sha256(b"\n".join(sorted(cubic))).hexdigest() == (
         "cd83be7df4c55e85ffd14c4baae5da011ef1a1dec07f1e0c4984e87b2579a11d"
@@ -169,7 +167,7 @@ def test_cubic_grade_loop_order_eight_unchanged():
 @pytest.mark.slow
 def test_cubic_grade_count_at_sixteen_vertices():
     # OEIS A002851: 4,060 connected cubic graphs on 16 vertices
-    cubic = _class_keys(_cubic_classes(9))
+    cubic = ClassKeys(_cubic_classes(9))
     assert (len(cubic), len(cubic.zero)) == (4060, 1564)
 
 
@@ -223,6 +221,13 @@ def test_graded_classes_build_the_cubic_grade_without_search(monkeypatch):
     assert all(graded[r].zero == direct[r].zero for r in direct)
 
 
+def _found(key):
+    """A class as its decoded canonical graph and that graph's canonical
+    form, the record `_contraction_pass` walks."""
+    graph = graph6_decode(key)
+    return graph, canonical_form(graph)
+
+
 def test_contraction_closure_needs_the_zero_classes():
     """Contracting only the non-zero classes of the grade above loses
     classes: at loop order 5, some 6- and 7-vertex classes are
@@ -230,7 +235,7 @@ def test_contraction_closure_needs_the_zero_classes():
     graded = graded_classes(5)
     for r in (6, 7):
         above = graded[r + 1]
-        nonzero = {k: canonical_form(graph6_decode(k)) for k in above - above.zero}
+        nonzero = {k: _found(k) for k in above - above.zero}
         _, below = _contraction_pass(nonzero)
         assert below.keys() < graded[r], r
 
@@ -328,21 +333,46 @@ def test_top_split_test_does_not_depend_on_the_labelling():
                 ), (key, j)
 
 
-@pytest.mark.parametrize("g", range(3, 7))
-def test_transported_generators_are_those_of_the_canonical_graph(g):
-    """The generators a class is walked with are automorphisms of its
-    decoded canonical graph and generate its whole automorphism group."""
-    found = _cubic_classes(g)
-    for _ in grade_range(g)[1:]:
-        for key, cf in found.items():
-            graph = graph6_decode(key)
-            edges = set(graph.edges)
-            gens = _canonical_generators(cf)
-            for tau in gens:
-                assert {tuple(sorted((tau[a], tau[b]))) for a, b in graph.edges} == edges
-            fresh = canonical_form(graph).aut_generators
-            assert aut_group_order(graph.n, gens) == aut_group_order(graph.n, fresh)
-        _, found = _contraction_pass(found)
+def test_contraction_pass_does_not_depend_on_the_labelling():
+    """Each class of every grade of loop order 6, walked as a random
+    relabelling with a shuffled edge order, gives the same columns and the
+    same classes below as its decoded canonical graph: the sign of the
+    walked graph to its canonical order corrects every term."""
+    rng = random.Random(19)
+    signs = set()
+    for classes in graded_classes(6).values():
+        canonical = {key: _found(key) for key in sorted(classes)}
+        relabelled = {}
+        for key, (graph, _) in canonical.items():
+            other = random_labeling(graph, rng)
+            relabelled[key] = other, canonical_form(other)
+            signs.add(relabelled[key][1].sign_to_canon)
+        columns, below = _contraction_pass(canonical)
+        other_columns, other_below = _contraction_pass(relabelled)
+        assert {k: dict(c) for k, c in other_columns.items()} == {
+            k: dict(c) for k, c in columns.items()
+        }
+        assert other_below.keys() == below.keys()
+    assert -1 in signs
+
+
+def test_bases_classify_no_class_again(monkeypatch):
+    """Each non-zero class is classified once, on the graph that found it,
+    when its grade's record is made; the quotient bases read the result."""
+    graded_classes(6)  # cached: the bases below read this record
+    classify = generate_module.connectivity_class
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return classify(graph)
+
+    monkeypatch.setattr(generate_module, "connectivity_class", counting)
+    graded_classes.__wrapped__(6)
+    assert len(calls) == 39
+    graded_bases(6, "biconnected")
+    graded_bases(6, "triconnected")
+    assert len(calls) == 39
 
 
 @pytest.mark.parametrize("g", range(3, 7))

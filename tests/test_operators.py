@@ -16,7 +16,6 @@ from graphcomplex import (
     apply_nabla,
     apply_pi,
     build_basis,
-    build_graph,
     canonical_form,
     graph6_decode,
     graph6_encode,
@@ -29,7 +28,16 @@ from graphcomplex.generate import basis_keys, generate
 from graphcomplex.graphs import component_masks
 from graphcomplex.operators import IDENTITIES, aut_order
 
-from conftest import k4, k5, k33, loop_order, prism, relabeled, unreduced_D, wheel
+from conftest import (
+    k4,
+    k5,
+    k33,
+    loop_order,
+    prism,
+    random_labeling,
+    unreduced_D,
+    wheel,
+)
 
 OPERATORS = (apply_d, apply_delta0, apply_nabla, apply_D, apply_Dbar)
 
@@ -169,16 +177,6 @@ def test_operator_output_digests():
     assert hashlib.sha256("".join(two_step).encode()).hexdigest() == (
         "70c873a906d3c1feafbaa2e63bd591365295530a61f50eb91f3084aea30c50fb"
     )
-
-
-def random_labeling(g, rng):
-    """g with its vertices permuted and its edge order shuffled."""
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    h = relabeled(g, tuple(perm))
-    edges = list(h.edges)
-    rng.shuffle(edges)
-    return build_graph(h.n, edges)
 
 
 @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
